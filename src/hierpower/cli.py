@@ -15,23 +15,14 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 
 from . import __version__
 from .coalitions import members
 from .documents import NetworkDocument, load_document
-from .errors import (
-    AllocatorError,
-    CapExceededError,
-    GaugeError,
-    HierPowerError,
-    InputError,
-    NotRegularError,
-)
+from .errors import CapExceededError, HierPowerError, InputError
 from .games import DEFAULT_PLAYER_CAP
 from .generators import generate_random
 from .measures import (
-    PowerGauge,
     beta_measure,
     core_vertices,
     core_violation,
@@ -42,7 +33,7 @@ from .measures import (
 )
 from .networks import DEFAULT_SUBNETWORK_CAP, HierNet, classify, partition
 from .rationals import format_exact
-from .verification import FAIL, PASS, SKIP, check_axioms, shapley_oracle_agrees, verify_theorems
+from .verification import verify_networks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -118,10 +109,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InputError, GaugeError, AllocatorError, NotRegularError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HierPowerError as exc:
+    except (HierPowerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -194,7 +182,7 @@ def _cmd_measure(args) -> int:
         requested = list(MEASURES)
     if not requested:
         raise InputError("choose at least one measure flag or --all")
-    results = {name: tuple(MEASURES[name](net)) for name in requested}
+    results = {name: MEASURES[name](net) for name in requested}
     payload = {
         "network": _network_summary(doc, net),
         "measures": {name: _gauge_json(doc.labels, values) for name, values in results.items()},
@@ -207,7 +195,7 @@ def _cmd_measure(args) -> int:
         row += "".join(f"  {format_exact(results[name][i]):>14}" for name in requested)
         human.append(row)
     totals = "total".ljust(width) + "".join(
-        f"  {format_exact(sum(results[name], Fraction(0))):>14}" for name in requested
+        f"  {format_exact(results[name].total()):>14}" for name in requested
     )
     human.append(totals)
     _emit(args, payload, human)
@@ -230,9 +218,7 @@ def _cmd_core(args) -> int:
         _emit(args, payload, human)
         return EXIT_OK
 
-    measure = MEASURES[args.check]
-    values = measure(net)
-    gauge = values if isinstance(values, PowerGauge) else PowerGauge(tuple(values))
+    gauge = MEASURES[args.check](net)
     violation = core_violation(net, gauge, cap=args.cap)
     payload = {
         "network": _network_summary(doc, net),
@@ -267,78 +253,36 @@ def _cmd_verify(args) -> int:
     else:
         if args.random < 1:
             raise InputError("--random needs a positive count")
+        # generate_random parses --edge-prob, refusing a bad one with ValueError
         nets = [
-            generate_random(args.nodes, Fraction(args.edge_prob), seed=args.seed + k)
+            generate_random(args.nodes, args.edge_prob, seed=args.seed + k)
             for k in range(args.random)
         ]
         sources = [f"random(nodes={args.nodes}, seed={args.seed + k})" for k in range(len(nets))]
 
-    counts: dict[str, dict[str, int]] = {}
-    first_fail: dict[str, tuple[str, str]] = {}
-    single_details: dict[str, str] = {}
-    order: list[str] = []
-    for net, source in zip(nets, sources):
-        report = verify_theorems(net, cap=args.cap)
-        for clause in report.clauses:
-            if clause.name not in counts:
-                counts[clause.name] = {PASS: 0, FAIL: 0, SKIP: 0}
-                order.append(clause.name)
-            counts[clause.name][clause.status] += 1
-            if clause.status == FAIL and clause.name not in first_fail:
-                first_fail[clause.name] = (source, clause.detail)
-            if len(nets) == 1:
-                single_details[clause.name] = clause.detail
-
-    axioms = check_axioms(gately_measure, nets)
-    for name, ok in (
-        ("axiom-normalisation", axioms.normalisation),
-        ("axiom-normality", axioms.normality),
-        ("axiom-restricted-proportionality", axioms.restricted_proportionality),
-    ):
-        counts[name] = {PASS: int(ok), FAIL: int(not ok), SKIP: 0}
-        order.append(name)
-        if not ok and axioms.witness is not None:
-            first_fail[name] = (sources[axioms.witness.net_index], "axiom failed")
-
-    small = [net for net in nets if net.n <= 6]
-    if small:
-        oracle_ok = all(shapley_oracle_agrees(net, cap=args.cap) for net in small)
-        counts["shapley-oracle"] = {PASS: int(oracle_ok), FAIL: int(not oracle_ok), SKIP: 0}
-    else:
-        counts["shapley-oracle"] = {PASS: 0, FAIL: 0, SKIP: 1}
-    order.append("shapley-oracle")
-
-    failed = any(c[FAIL] for c in counts.values())
-    rows = []
-    for name in order:
-        c = counts[name]
-        status = FAIL if c[FAIL] else (PASS if c[PASS] else SKIP)
-        detail = ""
-        if name in first_fail:
-            detail = f"first failure on {first_fail[name][0]}: {first_fail[name][1]}"
-        elif len(nets) == 1:
-            detail = single_details.get(name, "")
-        rows.append((name, status, c, detail))
-
+    report = verify_networks(nets, sources, cap=args.cap)
     payload = {
-        "networks": len(nets),
+        "networks": report.networks,
         "clauses": [
-            {"name": name, "status": status, "pass": c[PASS], "fail": c[FAIL],
-             "skip": c[SKIP], "detail": detail}
-            for name, status, c, detail in rows
+            {"name": c.name, "status": c.status, "pass": c.passed, "fail": c.failed,
+             "skip": c.skipped, "detail": c.detail}
+            for c in report.clauses
         ],
-        "ok": not failed,
+        "ok": report.ok,
     }
-    width = max(len(name) for name in order)
-    human = [f"verified {len(nets)} network(s)", f"{'clause'.ljust(width)}  status  pass/fail/skip"]
-    for name, status, c, detail in rows:
-        line = f"{name.ljust(width)}  {status:<6}  {c[PASS]}/{c[FAIL]}/{c[SKIP]}"
-        if detail:
-            line += f"  {detail}"
+    width = max(len(c.name) for c in report.clauses)
+    human = [
+        f"verified {report.networks} network(s)",
+        f"{'clause'.ljust(width)}  status  pass/fail/skip",
+    ]
+    for c in report.clauses:
+        line = f"{c.name.ljust(width)}  {c.status:<6}  {c.passed}/{c.failed}/{c.skipped}"
+        if c.detail:
+            line += f"  {c.detail}"
         human.append(line)
-    human.append("RESULT: " + ("all clauses hold" if not failed else "FAILURES detected"))
+    human.append("RESULT: " + ("all clauses hold" if report.ok else "FAILURES detected"))
     _emit(args, payload, human)
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -27,20 +27,8 @@ def members(mask: Coalition) -> Iterator[int]:
         mask ^= low
 
 
-def size(mask: Coalition) -> int:
-    return mask.bit_count()
-
-
 def full_coalition(n: int) -> Coalition:
     return (1 << n) - 1
-
-
-def contains(mask: Coalition, node: int) -> bool:
-    return bool(mask >> node & 1)
-
-
-def is_subset(inner: Coalition, outer: Coalition) -> bool:
-    return inner & ~outer == 0
 
 
 def all_coalitions(n: int) -> range:

@@ -104,7 +104,7 @@ def document_from_edge_list(text: str) -> NetworkDocument:
     """Parse the line format; node labels are taken in order of first mention."""
     labels: list[str] = []
     known: set[str] = set()
-    edges: list[tuple[str, str]] = []
+    edges: dict[tuple[str, str], None] = {}  # insertion-ordered set
 
     def declare(label: str) -> None:
         if label not in known:
@@ -131,7 +131,7 @@ def document_from_edge_list(text: str) -> NetworkDocument:
             declare(succ)
             if (pred, succ) in edges:
                 raise InputError(f"duplicate edge {pred!r} -> {succ!r}", location=where)
-            edges.append((pred, succ))
+            edges[pred, succ] = None
         else:
             raise InputError("expected: <pred> <succ> or node <label>", location=where)
     if not labels:

@@ -10,10 +10,11 @@ All worths are exact rationals; no float ever enters a computation.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coalitions import Coalition, all_coalitions, full_coalition, members, size
+from .coalitions import Coalition, all_coalitions, full_coalition, members
 from .errors import CapExceededError, EfficiencyError, NotRegularError
 from .networks import HierNet, partition, strong_successors, weak_successors
 from .rationals import Exact, as_exact
@@ -66,26 +67,21 @@ class TUGame:
         return f"TUGame(n={self.n})"
 
 
-@dataclass(frozen=True, slots=True)
-class Imputation:
-    """Payoff vector over the players of a game, one Fraction per player."""
+class Imputation(tuple):
+    """Payoff vector over the players of a game, one Fraction per player.
 
-    values: tuple[Fraction, ...]
+    Also the type of every power gauge: a gauge is a payoff vector of the
+    network's strong successor game.  Entries are coerced exactly; floats
+    are rejected.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(as_exact(v)) for v in self.values))
+    __slots__ = ()
+
+    def __new__(cls, values: Iterable[Exact] = ()) -> Imputation:
+        return super().__new__(cls, (Fraction(as_exact(v)) for v in values))
 
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
+        return sum(self, Fraction(0))
 
 
 def unanimity_game(n: int, carrier: Coalition) -> TUGame:
@@ -112,7 +108,7 @@ def successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
     _check_player_cap(net.n, cap)
     return TUGame(
         net.n,
-        [size(weak_successors(net, h)) for h in all_coalitions(net.n)],
+        [weak_successors(net, h).bit_count() for h in all_coalitions(net.n)],
     )
 
 
@@ -121,7 +117,7 @@ def strong_successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame
     _check_player_cap(net.n, cap)
     return TUGame(
         net.n,
-        [size(strong_successors(net, h)) for h in all_coalitions(net.n)],
+        [strong_successors(net, h).bit_count() for h in all_coalitions(net.n)],
     )
 
 
@@ -144,8 +140,8 @@ def partial_games(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> tuple[TUGame, 
     multis: list[Exact] = []
     for h in all_coalitions(net.n):
         reach = weak_successors(net, h)
-        singles.append(size(reach & single))
-        multis.append(size(reach & multi))
+        singles.append((reach & single).bit_count())
+        multis.append((reach & multi).bit_count())
     return TUGame(net.n, singles), TUGame(net.n, multis)
 
 
@@ -207,10 +203,10 @@ def shapley(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> Imputation:
         d = div[h]
         if d == 0 or h == 0:
             continue
-        share = Fraction(d, size(h))
+        share = Fraction(d, h.bit_count())
         for i in members(h):
             out[i] += share
-    return Imputation(tuple(out))
+    return Imputation(out)
 
 
 def shapley_permutation(v: TUGame) -> Imputation:
@@ -230,7 +226,7 @@ def shapley_permutation(v: TUGame) -> Imputation:
             totals[i] += v.worths[grown] - v.worths[mask]
             mask = grown
         count += 1
-    return Imputation(tuple(t / count for t in totals))
+    return Imputation(t / count for t in totals)
 
 
 def marginal(v: TUGame, i: int) -> Exact:
@@ -266,9 +262,9 @@ def gately(v: TUGame) -> Imputation:
             f"marginal total: stand-alone {low}, grand {grand}, marginal {high}"
         )
     if high == low:
-        return Imputation(tuple(Fraction(s) for s in singles))
+        return Imputation(singles)
     scale = Fraction(grand - low, high - low)
-    return Imputation(tuple(s + (m - s) * scale for s, m in zip(singles, margins)))
+    return Imputation(s + (m - s) * scale for s, m in zip(singles, margins))
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,48 +27,27 @@ from .networks import (
     partition,
     simple_subnetworks,
 )
-from .rationals import as_exact
 
 
-@dataclass(frozen=True, slots=True)
-class PowerGauge:
-    """Nonnegative node weights summing to the number of dominated nodes."""
+def check_gauge(values: Imputation, parts: NodePartition) -> Imputation:
+    """Return ``values`` unless they break a power-gauge invariant.
 
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(as_exact(v)) for v in self.values))
-
-    def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
-
-    def check(self, parts: NodePartition) -> PowerGauge:
-        """Raise :class:`GaugeError` unless the gauge invariants hold."""
-        if len(self.values) != parts.n:
-            raise GaugeError(f"gauge has {len(self.values)} entries for {parts.n} nodes")
-        for i, v in enumerate(self.values):
-            if v < 0:
-                raise GaugeError(f"negative weight {v} at node {i}")
-        if self.total() != parts.dominated_count:
-            raise GaugeError(
-                f"weights sum to {self.total()}, expected {parts.dominated_count}"
-            )
-        return self
-
-    def as_imputation(self) -> Imputation:
-        return Imputation(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
+    A gauge has one nonnegative weight per node, summing to the number of
+    dominated nodes; anything else raises :class:`GaugeError`.  Any
+    sequence of exact numbers is accepted.
+    """
+    if len(values) != parts.n:
+        raise GaugeError(f"gauge has {len(values)} entries for {parts.n} nodes")
+    for i, v in enumerate(values):
+        if v < 0:
+            raise GaugeError(f"negative weight {v} at node {i}")
+    total = sum(values, Fraction(0))
+    if total != parts.dominated_count:
+        raise GaugeError(f"weights sum to {total}, expected {parts.dominated_count}")
+    return values
 
 
-def beta_measure(net: HierNet) -> PowerGauge:
+def beta_measure(net: HierNet) -> Imputation:
     """Each dominated node's unit of control split equally among its predecessors.
 
     Coincides with the Shapley value of both successor representations.
@@ -80,10 +59,10 @@ def beta_measure(net: HierNet) -> PowerGauge:
         for j in members(net.succ_masks[i]):
             acc += Fraction(1, parts.preds[j])
         values.append(acc)
-    return PowerGauge(tuple(values)).check(parts)
+    return check_gauge(Imputation(values), parts)
 
 
-def gately_measure(net: HierNet) -> PowerGauge:
+def gately_measure(net: HierNet) -> Imputation:
     """Full credit for solely-controlled nodes plus a proportional share of
     the contested pool.
 
@@ -97,7 +76,7 @@ def gately_measure(net: HierNet) -> PowerGauge:
     if pool:
         share = Fraction(len(parts.multi_pred), pool)
         values = [v + parts.succs_multi[i] * share for i, v in enumerate(values)]
-    return PowerGauge(tuple(values)).check(parts)
+    return check_gauge(Imputation(values), parts)
 
 
 def proportional_allocator(net: HierNet) -> tuple[Fraction, ...]:
@@ -113,7 +92,7 @@ def proportional_allocator(net: HierNet) -> tuple[Fraction, ...]:
     return tuple(Fraction(parts.succs_multi[i], pool) for i in range(net.n))
 
 
-def restricted_egalitarian(net: HierNet) -> PowerGauge:
+def restricted_egalitarian(net: HierNet) -> Imputation:
     """Like the proportional split, but the contested pool is shared equally
     among the nodes that control at least one contested node."""
     parts = partition(net)
@@ -123,10 +102,10 @@ def restricted_egalitarian(net: HierNet) -> PowerGauge:
         share = Fraction(len(parts.multi_pred), len(controllers))
         for i in controllers:
             values[i] += share
-    return PowerGauge(tuple(values)).check(parts)
+    return check_gauge(Imputation(values), parts)
 
 
-def proportional_measure(net: HierNet) -> PowerGauge:
+def proportional_measure(net: HierNet) -> Imputation:
     """Out-degree vector rescaled to distribute the dominated-node total.
 
     An edgeless network yields the zero gauge by convention.
@@ -134,14 +113,14 @@ def proportional_measure(net: HierNet) -> PowerGauge:
     parts = partition(net)
     total = sum(parts.succs)
     if total == 0:
-        return PowerGauge(tuple(Fraction(0) for _ in range(net.n))).check(parts)
+        return check_gauge(Imputation([0] * net.n), parts)
     scale = Fraction(parts.dominated_count, total)
-    return PowerGauge(tuple(s * scale for s in parts.succs)).check(parts)
+    return check_gauge(Imputation(s * scale for s in parts.succs), parts)
 
 
-def degree_measure(net: HierNet) -> tuple[Fraction, ...]:
+def degree_measure(net: HierNet) -> Imputation:
     """Raw out-degree vector; in general not a power gauge."""
-    return tuple(Fraction(mask.bit_count()) for mask in net.succ_masks)
+    return Imputation(mask.bit_count() for mask in net.succ_masks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,41 +137,40 @@ class CoreViolation:
 
 
 def core_violation(
-    net: HierNet, delta: PowerGauge, cap: int = DEFAULT_PLAYER_CAP
+    net: HierNet, delta: Imputation, cap: int = DEFAULT_PLAYER_CAP
 ) -> CoreViolation | None:
     """First coalition witnessing that ``delta`` is not a Core gauge, if any.
 
     The gauge is validated first; the Core requirement is checked against
     full control, i.e. the strong successor representation.
     """
-    parts = partition(net)
-    delta.check(parts)
+    check_gauge(delta, partition(net))
     game = strong_successor_game(net, cap)
-    mask = find_core_violation(game, delta.as_imputation(), cap)
+    mask = find_core_violation(game, delta, cap)
     if mask is None:
         return None
     assigned = sum((delta[i] for i in members(mask)), Fraction(0))
     return CoreViolation(mask=mask, assigned=assigned, required=Fraction(game.worths[mask]))
 
 
-def is_core_gauge(net: HierNet, delta: PowerGauge, cap: int = DEFAULT_PLAYER_CAP) -> bool:
+def is_core_gauge(net: HierNet, delta: Imputation, cap: int = DEFAULT_PLAYER_CAP) -> bool:
     """True when every coalition is assigned at least the nodes it fully controls."""
     return core_violation(net, delta, cap) is None
 
 
 def core_vertices(
     net: HierNet, cap: int = DEFAULT_SUBNETWORK_CAP
-) -> tuple[PowerGauge, ...]:
+) -> tuple[Imputation, ...]:
     """Vertices of the set of Core gauges: one out-degree gauge per simple
     subnetwork, deduplicated (distinct subnetworks may tie) and sorted."""
     seen = {
         tuple(Fraction(mask.bit_count()) for mask in sub.succ_masks)
         for sub in simple_subnetworks(net, cap)
     }
-    return tuple(PowerGauge(values) for values in sorted(seen))
+    return tuple(Imputation(values) for values in sorted(seen))
 
 
-def unique_simple_gauge(net: HierNet) -> PowerGauge:
+def unique_simple_gauge(net: HierNet) -> Imputation:
     """The out-degree gauge, which for a simple network is the only Core gauge."""
     parts = partition(net)
-    return PowerGauge(tuple(Fraction(s) for s in parts.succs)).check(parts)
+    return check_gauge(Imputation(parts.succs), parts)

@@ -49,6 +49,16 @@ class HierNet:
                     raise ValueError(f"node {i} cannot be its own successor")
                 mask |= 1 << j
             masks.append(mask)
+        self._set_masks(n, masks)
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: list[int]) -> HierNet:
+        # Skips validation: every caller derives ``masks`` from a valid net.
+        net = cls.__new__(cls)
+        net._set_masks(n, masks)
+        return net
+
+    def _set_masks(self, n: int, masks: list[int]) -> None:
         self.n = n
         self._succ = tuple(masks)
         pred = [0] * n
@@ -198,7 +208,7 @@ def principal_restriction(net: HierNet, parts: NodePartition | None = None) -> H
     """Keep only edges into multi-predecessor nodes; idempotent."""
     parts = parts or partition(net)
     multi = coalition(parts.multi_pred)
-    return _from_masks(net.n, [mask & multi for mask in net.succ_masks])
+    return HierNet._from_masks(net.n, [mask & multi for mask in net.succ_masks])
 
 
 def simple_subnetwork_count(net: HierNet, parts: NodePartition | None = None) -> int:
@@ -230,17 +240,4 @@ def simple_subnetworks(
         masks = [0] * net.n
         for j, i in zip(dominated, picks):
             masks[i] |= 1 << j
-        yield _from_masks(net.n, masks)
-
-
-def _from_masks(n: int, masks: list[int]) -> HierNet:
-    # Bypasses re-validation: masks are derived from an already-valid net.
-    net = HierNet.__new__(HierNet)
-    net.n = n
-    net._succ = tuple(masks)
-    pred = [0] * n
-    for i, mask in enumerate(masks):
-        for j in members(mask):
-            pred[j] |= 1 << i
-    net._pred = tuple(pred)
-    return net
+        yield HierNet._from_masks(net.n, masks)

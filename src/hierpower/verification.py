@@ -7,7 +7,8 @@ evaluates every provable clause on one network: duality of the successor
 representations, the unanimity decomposition, convexity/concavity, the
 Shapley and disruption-value identities, Core membership conditions and
 the propensity balance.  Clauses whose hypothesis fails are reported as
-skipped, never as failures.
+skipped, never as failures.  ``verify_networks`` tallies all of these,
+plus the Shapley permutation oracle, over a network family.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from .games import (
     BALANCED_PROPENSITY,
     DEFAULT_PLAYER_CAP,
+    Imputation,
     dual,
     gately,
     harsanyi_dividends,
@@ -32,7 +34,6 @@ from .games import (
     successor_game,
 )
 from .measures import (
-    PowerGauge,
     beta_measure,
     core_vertices,
     gately_measure,
@@ -169,15 +170,13 @@ def verify_theorems(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TheoremRepor
     record("convexity", is_convex(strong, cap), "strong successor game is not convex")
     record("concavity", is_concave(weak, cap), "successor game is not concave")
 
-    beta_values = tuple(beta)
     record(
         "shapley-identity",
-        tuple(shapley(weak, cap)) == beta_values
-        and tuple(shapley(strong, cap)) == beta_values,
+        shapley(weak, cap) == beta and shapley(strong, cap) == beta,
         "Shapley values disagree with the closed-form equal-split measure",
     )
 
-    beta_core = in_core(strong, beta.as_imputation(), cap)
+    beta_core = in_core(strong, beta, cap)
     record("beta-core", beta_core, "equal-split gauge violates a Core constraint")
 
     if flags.simple:
@@ -191,10 +190,9 @@ def verify_theorems(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TheoremRepor
     else:
         clauses.append(ClauseResult("simple-unique-core", SKIP, "not applicable (not simple)"))
 
-    xi_values = tuple(xi)
     record(
         "gately-identity",
-        tuple(gately(weak)) == xi_values and tuple(gately(strong)) == xi_values,
+        gately(weak) == xi and gately(strong) == xi,
         "disruption-balancing values disagree with the closed-form measure",
     )
 
@@ -204,7 +202,7 @@ def verify_theorems(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TheoremRepor
         "propensities to disrupt are not constant over contested controllers",
     )
 
-    xi_core = in_core(strong, xi.as_imputation(), cap)
+    xi_core = in_core(strong, xi, cap)
     active = sum(1 for mask in net.succ_masks if mask)
     if active <= 3:
         record(
@@ -227,7 +225,7 @@ def verify_theorems(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TheoremRepor
         )
         record(
             "gately-beta-weakly-regular",
-            xi_values == beta_values,
+            xi == beta,
             "proportional and equal-split gauges differ on a weakly regular network",
         )
     else:
@@ -253,8 +251,7 @@ def verify_theorems(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TheoremRepor
     return TheoremReport(net=net, clauses=tuple(clauses))
 
 
-def _propensities_balanced(weak, xi: PowerGauge, parts) -> bool:
-    x = xi.as_imputation()
+def _propensities_balanced(weak, x: Imputation, parts) -> bool:
     contested = [i for i in range(parts.n) if parts.succs_multi[i] > 0]
     values = [propensity_to_disrupt(weak, x, i) for i in contested]
     if len(set(values)) > 1:
@@ -269,6 +266,82 @@ def _propensities_balanced(weak, xi: PowerGauge, parts) -> bool:
 def shapley_oracle_agrees(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> bool:
     """Cross-check the dividend Shapley against the permutation average."""
     for game in (successor_game(net, cap), strong_successor_game(net, cap)):
-        if tuple(shapley(game, cap)) != tuple(shapley_permutation(game)):
+        if shapley(game, cap) != shapley_permutation(game):
             return False
     return True
+
+
+@dataclass(frozen=True, slots=True)
+class ClauseTally:
+    """One clause's outcome counts over a network family."""
+
+    name: str
+    passed: int
+    failed: int
+    skipped: int
+    detail: str = ""
+
+    @property
+    def status(self) -> str:
+        return FAIL if self.failed else (PASS if self.passed else SKIP)
+
+
+@dataclass(frozen=True, slots=True)
+class VerifyReport:
+    """Every clause, axiom and oracle tally over a network family, in report order."""
+
+    networks: int
+    clauses: tuple[ClauseTally, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not any(c.failed for c in self.clauses)
+
+
+def verify_networks(
+    nets: Sequence[HierNet], sources: Sequence[str], cap: int = DEFAULT_PLAYER_CAP
+) -> VerifyReport:
+    """Tally the theorem clauses, the disruption measure's axioms and the
+    Shapley oracle over ``nets``.
+
+    ``sources`` names each network in first-failure details.  With a
+    single network, each clause keeps its own detail instead.
+    """
+    counts: dict[str, dict[str, int]] = {}
+    details: dict[str, str] = {}
+    first_fail: dict[str, str] = {}
+    for net, source in zip(nets, sources, strict=True):
+        for clause in verify_theorems(net, cap=cap).clauses:
+            counts.setdefault(clause.name, {PASS: 0, FAIL: 0, SKIP: 0})[clause.status] += 1
+            if clause.status == FAIL:
+                first_fail.setdefault(clause.name, f"first failure on {source}: {clause.detail}")
+            if len(nets) == 1:
+                details[clause.name] = clause.detail
+
+    axioms = check_axioms(gately_measure, nets)
+    for name, ok in (
+        ("axiom-normalisation", axioms.normalisation),
+        ("axiom-normality", axioms.normality),
+        ("axiom-restricted-proportionality", axioms.restricted_proportionality),
+    ):
+        counts[name] = {PASS: int(ok), FAIL: int(not ok), SKIP: 0}
+        if not ok and axioms.witness is not None:
+            source = sources[axioms.witness.net_index]
+            first_fail[name] = f"first failure on {source}: axiom failed"
+
+    small = [net for net in nets if net.n <= 6]  # the oracle averages n! orderings
+    if small:
+        ok = all(shapley_oracle_agrees(net, cap=cap) for net in small)
+        counts["shapley-oracle"] = {PASS: int(ok), FAIL: int(not ok), SKIP: 0}
+    else:
+        counts["shapley-oracle"] = {PASS: 0, FAIL: 0, SKIP: 1}
+
+    return VerifyReport(
+        networks=len(nets),
+        clauses=tuple(
+            ClauseTally(
+                name, c[PASS], c[FAIL], c[SKIP], first_fail.get(name, details.get(name, ""))
+            )
+            for name, c in counts.items()
+        ),
+    )

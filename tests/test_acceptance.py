@@ -113,27 +113,26 @@ def test_criterion_4_property_suite_200_networks():
         # (d) disruption-value identities against the closed form
         assert tuple(gately(weak)) == tuple(gately(strong)) == tuple(xi)
         # (e) equal-split gauge always clears every Core constraint
-        assert in_core(strong, beta.as_imputation())
+        assert in_core(strong, beta)
         # (f) weakly regular networks: measures coincide and stay in the Core
         if classify(net, parts).weakly_regular:
             weakly_regular_seen += 1
             assert tuple(xi) == tuple(beta)
-            assert in_core(strong, xi.as_imputation())
+            assert in_core(strong, xi)
         # (g) at most three nodes with successors: Core membership guaranteed
         if sum(1 for mask in net.succ_masks if mask) <= 3:
             small_active_seen += 1
-            assert in_core(strong, xi.as_imputation())
+            assert in_core(strong, xi)
         # (h) propensities to disrupt balanced at the proportional gauge
-        x = xi.as_imputation()
         values = {
-            propensity_to_disrupt(weak, x, i)
+            propensity_to_disrupt(weak, xi, i)
             for i in range(net.n)
             if parts.succs_multi[i] > 0
         }
         assert len(values) <= 1
         for i in range(net.n):
             if parts.succs_multi[i] == 0:
-                assert propensity_to_disrupt(weak, x, i) is BALANCED_PROPENSITY
+                assert propensity_to_disrupt(weak, xi, i) is BALANCED_PROPENSITY
 
     assert weakly_regular_seen > 0 and small_active_seen > 0
     elapsed = time.perf_counter() - start

@@ -171,22 +171,23 @@ class TestVerify:
         )
         assert code == 0
 
-    def test_bad_edge_prob_is_input_error(self, capsys):
+    @pytest.mark.parametrize("prob", ["nope", "1/0"])
+    def test_bad_edge_prob_is_input_error(self, capsys, prob):
         code, _, err = run(
-            capsys, "verify", "--random", "2", "--nodes", "3", "--edge-prob", "nope"
+            capsys, "verify", "--random", "2", "--nodes", "3", "--edge-prob", prob
         )
         assert code == 2
 
     def test_clause_failure_exits_nonzero(self, capsys, monkeypatch):
         # Theorem clauses cannot fail on real networks, so force one to
         # exercise the failure aggregation and exit path.
-        import hierpower.cli as cli_module
+        import hierpower.verification as verification_module
         from hierpower.verification import ClauseResult, TheoremReport
 
         def forced_failure(net, cap):
             return TheoremReport(net=net, clauses=(ClauseResult("duality", "fail", "forced"),))
 
-        monkeypatch.setattr(cli_module, "verify_theorems", forced_failure)
+        monkeypatch.setattr(verification_module, "verify_theorems", forced_failure)
         code, out, _ = run(capsys, "verify", "--input", FIG1)
         assert code == 1
         assert "FAILURES detected" in out

@@ -1,0 +1,63 @@
+"""Byte-exact snapshot of the CLI on the fixtures: stdout, stderr and exit code.
+
+Each fixture is run from both its JSON and its edge-list file against one
+recorded entry, so the two formats must render identically.  To re-record
+after a deliberate output change, run ``python -m tests.test_golden`` from
+the repository root and describe the change in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from hierpower.cli import MEASURES, main
+from tests.conftest import fixture_path
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_fixtures.json"
+FIGURES = ("fig1", "fig2", "fig3")
+COMMANDS = (  # ``{input}`` stands for the fixture path
+    ("classify", "{input}"),
+    ("measure", "{input}", "--all"),
+    *(("core", "{input}", "--check", name) for name in sorted(MEASURES)),
+    ("core", "{input}", "--vertices"),
+    ("verify", "--input", "{input}"),
+)
+CASES = {
+    f"{fig} {' '.join(argv)}": argv
+    for fig in FIGURES
+    for command in COMMANDS
+    for argv in (command, (*command, "--json"))
+}
+
+
+def run_cli(argv: tuple[str, ...], path: Path) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if arg == "{input}" else arg for arg in argv])
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_cli_output_matches_golden(golden, key):
+    argv = CASES[key]
+    fig = key.split(" ", 1)[0]
+    # verify --input is pinned on the JSON fixtures only
+    for suffix in (".json",) if argv[0] == "verify" else (".json", ".txt"):
+        assert run_cli(argv, fixture_path(fig + suffix)) == golden[key], suffix
+
+
+if __name__ == "__main__":
+    record = {
+        key: run_cli(argv, fixture_path(key.split(" ", 1)[0] + ".json"))
+        for key, argv in CASES.items()
+    }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

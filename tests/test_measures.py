@@ -6,8 +6,8 @@ from hierpower import (
     AllocatorError,
     GaugeError,
     HierNet,
-    PowerGauge,
     beta_measure,
+    check_gauge,
     coalition,
     core_vertices,
     core_violation,
@@ -145,7 +145,7 @@ class TestDegreeMeasure:
 
     def test_generally_not_a_gauge(self, fig1):
         with pytest.raises(GaugeError, match="sum"):
-            PowerGauge(degree_measure(fig1)).check(partition(fig1))
+            check_gauge(degree_measure(fig1), partition(fig1))
 
 
 class TestGaugeInvariants:
@@ -155,16 +155,16 @@ class TestGaugeInvariants:
             parts = partition(net)
             for measure in measures:
                 gauge = measure(net)
-                gauge.check(parts)  # raises on violation
+                check_gauge(gauge, parts)  # raises on violation
                 assert gauge.total() == parts.dominated_count
 
     def test_rejects_negative_weight(self, chain2):
         with pytest.raises(GaugeError, match="negative"):
-            PowerGauge((F(2), F(-1))).check(partition(chain2))
+            check_gauge((F(2), F(-1)), partition(chain2))
 
     def test_rejects_wrong_length(self, chain2):
         with pytest.raises(GaugeError, match="entries"):
-            PowerGauge((F(1),)).check(partition(chain2))
+            check_gauge((F(1),), partition(chain2))
 
 
 class TestCoreGauge:
@@ -193,7 +193,7 @@ class TestCoreGauge:
 
     def test_invalid_gauge_is_an_error(self, fig1):
         with pytest.raises(GaugeError):
-            is_core_gauge(fig1, PowerGauge(degree_measure(fig1)))
+            is_core_gauge(fig1, degree_measure(fig1))
 
 
 class TestCoreVertices:
