@@ -47,7 +47,6 @@ MEASURES = {
     "proportional": proportional_measure,
     "degree": degree_measure,
 }
-GAUGE_MEASURES = ("beta", "gately", "egalitarian", "proportional")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +120,7 @@ def _load(args) -> tuple[NetworkDocument, HierNet]:
 
 def _network_summary(doc: NetworkDocument, net: HierNet) -> dict:
     parts = partition(net)
-    flags = classify(net, parts)
+    flags = classify(net)
     return {
         "nodes": list(doc.labels),
         "node_count": net.n,

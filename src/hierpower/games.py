@@ -10,14 +10,14 @@ All worths are exact rationals; no float ever enters a computation.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coalitions import Coalition, all_coalitions, full_coalition, members
+from .coalitions import Coalition, all_coalitions, coalition, full_coalition, members
 from .errors import CapExceededError, EfficiencyError, NotRegularError
 from .networks import HierNet, partition, strong_successors, weak_successors
-from .rationals import Exact, as_exact
+from .rationals import Exact, as_exact, as_fraction
 
 DEFAULT_PLAYER_CAP = 24
 
@@ -78,7 +78,7 @@ class Imputation(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[Exact] = ()) -> Imputation:
-        return super().__new__(cls, (Fraction(as_exact(v)) for v in values))
+        return super().__new__(cls, (as_fraction(v) for v in values))
 
     def total(self) -> Fraction:
         return sum(self, Fraction(0))
@@ -103,22 +103,22 @@ def additive_game(values: list[Exact] | tuple[Exact, ...]) -> TUGame:
 
 # --- successor representations -------------------------------------------------
 
+def _count_game(
+    net: HierNet, cap: int, reach: Callable[[HierNet, Coalition], Coalition]
+) -> TUGame:
+    """Worth of a coalition: how many nodes ``reach`` assigns to it."""
+    _check_player_cap(net.n, cap)
+    return TUGame(net.n, [reach(net, h).bit_count() for h in all_coalitions(net.n)])
+
+
 def successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
     """Worth of a coalition: how many nodes have a predecessor inside it."""
-    _check_player_cap(net.n, cap)
-    return TUGame(
-        net.n,
-        [weak_successors(net, h).bit_count() for h in all_coalitions(net.n)],
-    )
+    return _count_game(net, cap, weak_successors)
 
 
 def strong_successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
     """Worth of a coalition: how many nodes it fully controls."""
-    _check_player_cap(net.n, cap)
-    return TUGame(
-        net.n,
-        [strong_successors(net, h).bit_count() for h in all_coalitions(net.n)],
-    )
+    return _count_game(net, cap, strong_successors)
 
 
 def partial_games(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> tuple[TUGame, TUGame]:
@@ -128,21 +128,13 @@ def partial_games(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> tuple[TUGame, 
     game), second counts reached multi-predecessor nodes; they sum to the
     successor game coalition-wise.
     """
-    _check_player_cap(net.n, cap)
     parts = partition(net)
-    single = 0
-    multi = 0
-    for j in parts.single_pred:
-        single |= 1 << j
-    for j in parts.multi_pred:
-        multi |= 1 << j
-    singles: list[Exact] = []
-    multis: list[Exact] = []
-    for h in all_coalitions(net.n):
-        reach = weak_successors(net, h)
-        singles.append((reach & single).bit_count())
-        multis.append((reach & multi).bit_count())
-    return TUGame(net.n, singles), TUGame(net.n, multis)
+    single = coalition(parts.single_pred)
+    multi = coalition(parts.multi_pred)
+    return (
+        _count_game(net, cap, lambda g, h: weak_successors(g, h) & single),
+        _count_game(net, cap, lambda g, h: weak_successors(g, h) & multi),
+    )
 
 
 # --- generic game operations ---------------------------------------------------

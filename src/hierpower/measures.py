@@ -9,6 +9,7 @@ out-degree, or raw out-degree itself (which is not a gauge at all).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,11 +55,10 @@ def beta_measure(net: HierNet) -> Imputation:
     """
     parts = partition(net)
     values = []
-    for i in range(net.n):
-        acc = Fraction(0)
-        for j in members(net.succ_masks[i]):
-            acc += Fraction(1, parts.preds[j])
-        values.append(acc)
+    for mask in net.succ_masks:
+        counts = [parts.preds[j] for j in members(mask)]
+        den = math.lcm(*counts)
+        values.append(Fraction(sum(den // k for k in counts), den))
     return check_gauge(Imputation(values), parts)
 
 

@@ -25,7 +25,7 @@ class HierNet:
     Self-succession is rejected; cycles and mutual edges are allowed.
     """
 
-    __slots__ = ("n", "_succ", "_pred")
+    __slots__ = ("n", "_succ", "_pred", "_parts")
 
     def __init__(self, n: int, succ: Mapping[int, Iterable[int]] | Iterable[Iterable[int]]):
         if n < 1:
@@ -66,6 +66,7 @@ class HierNet:
             for j in members(mask):
                 pred[j] |= 1 << i
         self._pred = tuple(pred)
+        self._parts = None
 
     @property
     def succ_masks(self) -> tuple[int, ...]:
@@ -166,6 +167,13 @@ def strong_successors(net: HierNet, h: Coalition) -> Coalition:
 
 
 def partition(net: HierNet) -> NodePartition:
+    """Per-node predecessor and successor counts, split by node class.
+
+    Computed once, on first use, and kept on the net: every later call
+    returns the same object.
+    """
+    if net._parts is not None:
+        return net._parts
     n = net.n
     preds = tuple(mask.bit_count() for mask in net.pred_masks)
     succs = tuple(mask.bit_count() for mask in net.succ_masks)
@@ -173,7 +181,7 @@ def partition(net: HierNet) -> NodePartition:
     single = coalition(j for j in range(n) if preds[j] == 1)
     succs_single = tuple((mask & single).bit_count() for mask in net.succ_masks)
     succs_multi = tuple((mask & multi).bit_count() for mask in net.succ_masks)
-    return NodePartition(
+    net._parts = NodePartition(
         n=n,
         no_pred=frozenset(j for j in range(n) if preds[j] == 0),
         single_pred=frozenset(members(single)),
@@ -183,9 +191,10 @@ def partition(net: HierNet) -> NodePartition:
         succs_single=succs_single,
         succs_multi=succs_multi,
     )
+    return net._parts
 
 
-def classify(net: HierNet, parts: NodePartition | None = None) -> NetworkClass:
+def classify(net: HierNet) -> NetworkClass:
     """Compute the regularity flags of a network.
 
     Weakly regular: all multi-predecessor nodes share one predecessor
@@ -193,7 +202,7 @@ def classify(net: HierNet, parts: NodePartition | None = None) -> NetworkClass:
     node has exactly one predecessor.  Principal: no node has exactly
     one predecessor, i.e. the network equals its principal restriction.
     """
-    parts = parts or partition(net)
+    parts = partition(net)
     multi_counts = {parts.preds[j] for j in parts.multi_pred}
     dominated_counts = {parts.preds[j] for j in parts.dominated}
     return NetworkClass(
@@ -204,16 +213,15 @@ def classify(net: HierNet, parts: NodePartition | None = None) -> NetworkClass:
     )
 
 
-def principal_restriction(net: HierNet, parts: NodePartition | None = None) -> HierNet:
+def principal_restriction(net: HierNet) -> HierNet:
     """Keep only edges into multi-predecessor nodes; idempotent."""
-    parts = parts or partition(net)
-    multi = coalition(parts.multi_pred)
+    multi = coalition(partition(net).multi_pred)
     return HierNet._from_masks(net.n, [mask & multi for mask in net.succ_masks])
 
 
-def simple_subnetwork_count(net: HierNet, parts: NodePartition | None = None) -> int:
+def simple_subnetwork_count(net: HierNet) -> int:
     """Product of predecessor counts over the dominated nodes."""
-    parts = parts or partition(net)
+    parts = partition(net)
     count = 1
     for j in sorted(parts.dominated):
         count *= parts.preds[j]
@@ -230,11 +238,10 @@ def simple_subnetworks(
     lexicographic over predecessor choices, dominated nodes ordered by id.
     Refuses upfront when the total count exceeds ``cap``.
     """
-    parts = partition(net)
-    total = simple_subnetwork_count(net, parts)
+    total = simple_subnetwork_count(net)
     if total > cap:
         raise CapExceededError("simple-subnetwork enumeration", total, cap)
-    dominated = sorted(parts.dominated)
+    dominated = sorted(partition(net).dominated)
     choices = [sorted(members(net.pred_masks[j])) for j in dominated]
     for picks in itertools.product(*choices):
         masks = [0] * net.n

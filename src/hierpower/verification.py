@@ -37,7 +37,6 @@ from .measures import (
     beta_measure,
     core_vertices,
     gately_measure,
-    is_core_gauge,
     unique_simple_gauge,
 )
 from .networks import HierNet, classify, partition, principal_restriction
@@ -86,7 +85,7 @@ def check_axioms(measure: Measure, nets: Sequence[HierNet]) -> AxiomReport:
             if sum(out, Fraction(0)) != parts.dominated_count:
                 failed["normalisation"] = index
         if "normality" not in failed:
-            restricted = tuple(Fraction(v) for v in measure(principal_restriction(net, parts)))
+            restricted = tuple(Fraction(v) for v in measure(principal_restriction(net)))
             expected = tuple(parts.succs_single[i] + restricted[i] for i in range(net.n))
             if out != expected:
                 failed["normality"] = index
@@ -138,7 +137,7 @@ class TheoremReport:
 def verify_theorems(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TheoremReport:
     """Evaluate every theorem clause on one network."""
     parts = partition(net)
-    flags = classify(net, parts)
+    flags = classify(net)
     weak = successor_game(net, cap)
     strong = strong_successor_game(net, cap)
     beta = beta_measure(net)
@@ -184,7 +183,7 @@ def verify_theorems(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TheoremRepor
         vertices = core_vertices(net)
         record(
             "simple-unique-core",
-            is_core_gauge(net, gauge, cap) and vertices == (gauge,),
+            in_core(strong, gauge, cap) and vertices == (gauge,),
             "out-degree gauge is not the unique Core gauge of a simple network",
         )
     else:

@@ -115,7 +115,7 @@ def test_criterion_4_property_suite_200_networks():
         # (e) equal-split gauge always clears every Core constraint
         assert in_core(strong, beta)
         # (f) weakly regular networks: measures coincide and stay in the Core
-        if classify(net, parts).weakly_regular:
+        if classify(net).weakly_regular:
             weakly_regular_seen += 1
             assert tuple(xi) == tuple(beta)
             assert in_core(strong, xi)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import hierpower.networks
 from hierpower.cli import main
 from tests.conftest import fixture_path
 
@@ -74,6 +75,19 @@ class TestMeasure:
         payload = json.loads(out)
         for gauge in payload["measures"].values():
             assert all(entry["exact"] == "0" for entry in gauge.values())
+
+    def test_all_measures_build_one_partition(self, capsys, monkeypatch):
+        built = []
+        original = hierpower.networks.NodePartition
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hierpower.networks, "NodePartition", counting)
+        code, _, _ = run(capsys, "measure", FIG1, "--all")
+        assert code == 0
+        assert len(built) == 1
 
     def test_requires_a_measure_flag(self, capsys):
         code, _, err = run(capsys, "measure", FIG1)

@@ -201,6 +201,16 @@ class TestShape:
     def test_non_convex_game_detected(self):
         assert not is_convex(majority_game())
 
+    def test_unanimity_game_is_not_concave(self):
+        v = unanimity_game(2, coalition([0, 1]))
+        assert is_convex(v)
+        assert not is_concave(v)
+
+    def test_additive_game_is_convex_and_concave(self):
+        v = additive_game([1, F(1, 2), -3])
+        assert is_convex(v)
+        assert is_concave(v)
+
     @given(st.integers(min_value=0, max_value=60))
     def test_shapes_on_random_networks(self, seed):
         net = generate_random(5, F(3, 4), seed=seed)

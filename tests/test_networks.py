@@ -198,6 +198,16 @@ class TestPartition:
         assert sum(parts.succs_multi) == parts.multi_pred_total
         assert parts.dominated_count == len(parts.single_pred) + len(parts.multi_pred)
 
+    def test_kept_on_the_net(self, fig2):
+        assert partition(fig2) is partition(fig2)
+
+    @given(networks(max_n=5))
+    def test_derived_networks_get_their_own_partition(self, net):
+        partition(net)  # the parent's partition exists before anything is derived
+        for sub in (principal_restriction(net), *simple_subnetworks(net, cap=10_000)):
+            fresh = HierNet(sub.n, [list(members(mask)) for mask in sub.succ_masks])
+            assert partition(sub) == partition(fresh)
+
 
 # --- classification -------------------------------------------------------------
 
