@@ -6,7 +6,8 @@ Subcommands: ``classify`` (structure and regularity flags), ``measure``
 All numbers are printed exactly as ``p/q``; decimals are annotations.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 cap
-exceeded.
+exceeded.  Only :class:`HierPowerError` maps to 2; any other exception is
+an internal fault and propagates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .measures import (
     restricted_egalitarian,
 )
 from .networks import DEFAULT_SUBNETWORK_CAP, HierNet, classify, partition
-from .rationals import format_exact
+from .rationals import as_exact, format_exact
 from .verification import verify_networks
 
 EXIT_OK = 0
@@ -108,7 +109,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (HierPowerError, ValueError) as exc:
+    except HierPowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -252,10 +253,16 @@ def _cmd_verify(args) -> int:
     else:
         if args.random < 1:
             raise InputError("--random needs a positive count")
-        # generate_random parses --edge-prob, refusing a bad one with ValueError
+        if args.nodes < 1:
+            raise InputError(f"node count must be >= 1, got {args.nodes}")
+        try:
+            prob = as_exact(args.edge_prob)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        if not 0 <= prob <= 1:
+            raise InputError(f"edge probability must be in [0, 1], got {prob}")
         nets = [
-            generate_random(args.nodes, args.edge_prob, seed=args.seed + k)
-            for k in range(args.random)
+            generate_random(args.nodes, prob, seed=args.seed + k) for k in range(args.random)
         ]
         sources = [f"random(nodes={args.nodes}, seed={args.seed + k})" for k in range(len(nets))]
 

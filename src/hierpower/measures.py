@@ -15,18 +15,14 @@ from fractions import Fraction
 
 from .coalitions import Coalition, members
 from .errors import AllocatorError, GaugeError
-from .games import (
-    DEFAULT_PLAYER_CAP,
-    Imputation,
-    find_core_violation,
-    strong_successor_game,
-)
+from .games import DEFAULT_PLAYER_CAP, Imputation, _check_player_cap
 from .networks import (
     DEFAULT_SUBNETWORK_CAP,
     HierNet,
     NodePartition,
     partition,
     simple_subnetworks,
+    strong_successors,
 )
 
 
@@ -139,18 +135,100 @@ class CoreViolation:
 def core_violation(
     net: HierNet, delta: Imputation, cap: int = DEFAULT_PLAYER_CAP
 ) -> CoreViolation | None:
-    """First coalition witnessing that ``delta`` is not a Core gauge, if any.
+    """Smallest-mask coalition witnessing that ``delta`` is not a Core gauge, if any.
 
     The gauge is validated first; the Core requirement is checked against
-    full control, i.e. the strong successor representation.
+    full control, i.e. the strong successor representation: coalition S
+    needs at least the number of nodes whose predecessors all lie in S.
+    Decided by integer min-cuts on the network, never by a 2^n table: one
+    cut says whether any coalition falls short, then one cut per node,
+    highest id first, keeps that node out of the witness whenever some
+    deficient coalition still exists without it.  So the witness is the
+    one an ascending scan of the strong successor table finds first.
+    Networks with more than ``cap`` nodes are still refused up front.
     """
     check_gauge(delta, partition(net))
-    game = strong_successor_game(net, cap)
-    mask = find_core_violation(game, delta, cap)
-    if mask is None:
+    _check_player_cap(net.n, cap)
+    unit = math.lcm(*(d.denominator for d in delta))
+    cost = [d.numerator * (unit // d.denominator) for d in delta]
+    controls = [pred for pred in net.pred_masks if pred]
+    if _best_surplus(controls, cost, unit, 0, 0) <= 0:
         return None
-    assigned = sum((delta[i] for i in members(mask)), Fraction(0))
-    return CoreViolation(mask=mask, assigned=assigned, required=Fraction(game.worths[mask]))
+    inside = outside = 0
+    for i in reversed(range(net.n)):
+        if _best_surplus(controls, cost, unit, inside, outside | 1 << i) > 0:
+            outside |= 1 << i
+        else:
+            inside |= 1 << i
+    assigned = sum((delta[i] for i in members(inside)), Fraction(0))
+    required = Fraction(strong_successors(net, inside).bit_count())
+    return CoreViolation(mask=inside, assigned=assigned, required=required)
+
+
+def _best_surplus(
+    controls: list[Coalition], cost: list[int], unit: int, inside: Coalition, outside: Coalition
+) -> int:
+    """Largest ``unit * (required(S) - delta(S))`` over coalitions S that
+    contain ``inside`` and avoid ``outside``; ``cost[i]`` is ``delta[i] * unit``.
+
+    A maximum-weight closure (Picard 1976): each dominated node, given by
+    its predecessor mask in ``controls``, is worth ``unit`` once all its
+    predecessors are in S, and each predecessor costs its weight.  The
+    best closure is the total worth minus a minimum cut of source ->
+    dominated node (``unit``), dominated node -> predecessor (unbounded)
+    and predecessor -> sink (its cost).  Nodes in ``inside`` are paid for
+    up front and cut free of charge.
+    """
+    reachable = [pred & ~inside for pred in controls if not pred & outside]
+    worth = unit * len(reachable)
+    paid = sum(cost[i] for i in members(inside))
+    source, sink = 0, 1
+    arcs: list[dict[int, int]] = [{}, {}]
+    vertex: dict[int, int] = {}
+    for pred in reachable:
+        j = len(arcs)
+        arcs.append({source: 0})
+        arcs[source][j] = unit
+        for i in members(pred):
+            if i not in vertex:
+                vertex[i] = len(arcs)
+                arcs.append({sink: cost[i]})
+                arcs[sink][vertex[i]] = 0
+            arcs[j][vertex[i]] = worth  # no cut exceeds the total worth
+            arcs[vertex[i]][j] = 0
+    return worth - paid - _max_flow(arcs, source, sink)
+
+
+def _max_flow(arcs: list[dict[int, int]], source: int, sink: int) -> int:
+    """Value of a maximum flow by shortest augmenting paths (Edmonds-Karp).
+
+    ``arcs[u][v]`` is the residual capacity of u -> v, and every arc's
+    reverse is present; both are updated in place.  Capacities are ints,
+    so the result is exact.
+    """
+    total = 0
+    while True:
+        parent = {source: source}
+        queue = [source]
+        for u in queue:
+            for v, capacity in arcs[u].items():
+                if capacity and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if sink in parent:
+                break
+        else:
+            return total
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(arcs[u][v] for u, v in path)
+        for u, v in path:
+            arcs[u][v] -= push
+            arcs[v][u] += push
+        total += push
 
 
 def is_core_gauge(net: HierNet, delta: Imputation, cap: int = DEFAULT_PLAYER_CAP) -> bool:

@@ -5,6 +5,9 @@ by solving the feasibility system (weights nonnegative, summing to one,
 reproducing the point) with Bland's rule over Fractions.  No floating
 point is involved, so answers are exact at the scale used here (few
 dimensions, modest vertex counts).
+
+A test oracle: the Core is the hull of the simple subnetworks' out-degree
+gauges, so this linear program checks the min-cut Core test independently.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .rationals import as_fraction
+from hierpower.rationals import as_fraction
 
 
 def in_convex_hull(point: Sequence, vertices: Sequence[Sequence]) -> bool:

@@ -1,10 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 import hierpower.networks
-from hierpower.cli import main
+from hierpower.cli import MEASURES, main
 from tests.conftest import fixture_path
 
 F = Fraction
@@ -104,6 +105,19 @@ class TestCore:
         assert "3/4 < 1" in out
         assert "short by 1/4" in out
 
+    def test_check_builds_no_coalition_table(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Core check enumerated coalitions")
+
+        for key, module in list(sys.modules.items()):
+            if key == "hierpower" or key.startswith("hierpower."):
+                for name in ("successor_game", "strong_successor_game", "coalition_payoffs"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, refuse)
+        code, out, _ = run(capsys, "core", FIG1, "--check", "gately")
+        assert code == 0
+        assert "NOT in core; violating coalition {1, 2}: 3/4 < 1 (short by 1/4)" in out
+
     def test_fig1_beta_check(self, capsys):
         code, out, _ = run(capsys, "core", FIG1, "--check", "beta")
         assert code == 0
@@ -191,6 +205,19 @@ class TestVerify:
             capsys, "verify", "--random", "2", "--nodes", "3", "--edge-prob", prob
         )
         assert code == 2
+        assert err == f"error: not a rational literal: {prob!r}\n"
+
+    def test_edge_prob_outside_unit_interval_is_input_error(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "--random", "2", "--nodes", "3", "--edge-prob", "3/2"
+        )
+        assert code == 2
+        assert err == "error: edge probability must be in [0, 1], got 3/2\n"
+
+    def test_bad_node_count_is_input_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--random", "2", "--nodes", "0")
+        assert code == 2
+        assert err == "error: node count must be >= 1, got 0\n"
 
     def test_clause_failure_exits_nonzero(self, capsys, monkeypatch):
         # Theorem clauses cannot fail on real networks, so force one to
@@ -220,6 +247,14 @@ class TestErrors:
         code, _, err = run(capsys, "classify", str(path))
         assert code == 2
         assert "line 2" in err and "self-loop on node 'A'" in err
+
+    def test_internal_value_error_is_not_an_input_error(self, monkeypatch):
+        def broken(net):
+            raise ValueError("internal fault")
+
+        monkeypatch.setitem(MEASURES, "gately", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["measure", FIG1, "--gately"])
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -273,6 +273,12 @@ class TestShapley:
         for game in sample_games():
             assert tuple(shapley(game)) == tuple(shapley_permutation(game))
 
+    def test_permutation_oracle_on_fraction_worths(self):
+        # player 0: (1/3 + (3/2 - 1/2)) / 2; player 1: (1/2 + (3/2 - 1/3)) / 2
+        game = TUGame(2, [0, F(1, 3), F(1, 2), F(3, 2)])
+        assert tuple(shapley_permutation(game)) == (F(2, 3), F(5, 6))
+        assert tuple(shapley(game)) == (F(2, 3), F(5, 6))
+
     @given(small_games())
     def test_matches_permutation_oracle(self, game):
         assert tuple(shapley(game)) == tuple(shapley_permutation(game))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hierpower import in_convex_hull
+from tests.oracles.hull import in_convex_hull
 
 F = Fraction
 

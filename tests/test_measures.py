@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hierpower import (
     AllocatorError,
+    CoreViolation,
     GaugeError,
     HierNet,
     beta_measure,
@@ -12,11 +15,12 @@ from hierpower import (
     core_vertices,
     core_violation,
     degree_measure,
+    find_core_violation,
     gately,
     gately_measure,
     generate_random,
-    in_convex_hull,
     is_core_gauge,
+    members,
     partition,
     proportional_allocator,
     proportional_measure,
@@ -27,8 +31,11 @@ from hierpower import (
     successor_game,
     unique_simple_gauge,
 )
+from tests.oracles.hull import in_convex_hull
 
 F = Fraction
+
+CORE_GAUGES = (beta_measure, gately_measure, restricted_egalitarian, proportional_measure)
 
 
 def random_nets(count: int, n: int, seed: int) -> list[HierNet]:
@@ -150,10 +157,9 @@ class TestDegreeMeasure:
 
 class TestGaugeInvariants:
     def test_every_measure_is_a_valid_gauge(self):
-        measures = (beta_measure, gately_measure, restricted_egalitarian, proportional_measure)
         for net in random_nets(30, 6, seed=900):
             parts = partition(net)
-            for measure in measures:
+            for measure in CORE_GAUGES:
                 gauge = measure(net)
                 check_gauge(gauge, parts)  # raises on violation
                 assert gauge.total() == parts.dominated_count
@@ -196,6 +202,66 @@ class TestCoreGauge:
             is_core_gauge(fig1, degree_measure(fig1))
 
 
+def oracle_violation(net: HierNet, gauge) -> CoreViolation | None:
+    """The Core witness found by scanning the 2^n strong successor table."""
+    strong = strong_successor_game(net)
+    mask = find_core_violation(strong, gauge)
+    if mask is None:
+        return None
+    assigned = sum((gauge[i] for i in members(mask)), F(0))
+    return CoreViolation(mask=mask, assigned=assigned, required=F(strong.worths[mask]))
+
+
+@st.composite
+def nets_with_near_core_gauges(draw) -> tuple[HierNet, tuple[Fraction, ...], bool]:
+    """A network, a convex mix of Core vertices with part of one node's
+    weight moved to another node, and whether anything was moved."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    net = HierNet(n, [{j for j in range(n) if j != i and draw(st.booleans())} for i in range(n)])
+    dominated = [j for j in range(n) if net.pred_masks[j]]
+    # each pick chooses one predecessor per dominated node: a simple
+    # subnetwork, whose out-degree vector is a Core vertex
+    picks = draw(st.lists(
+        st.tuples(*(st.sampled_from(sorted(net.predecessors(j))) for j in dominated)),
+        min_size=1, max_size=3,
+    ))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=5),
+                            min_size=len(picks), max_size=len(picks)))
+    gauge = [F(0)] * n
+    for pick, weight in zip(picks, weights):
+        for i in pick:
+            gauge[i] += F(weight, sum(weights))
+    source = draw(st.integers(min_value=0, max_value=n - 1))
+    target = draw(st.integers(min_value=0, max_value=n - 1))
+    moved = draw(st.fractions(min_value=0, max_value=1, max_denominator=8)) * gauge[source]
+    gauge[source] -= moved
+    gauge[target] += moved
+    return net, tuple(gauge), moved != 0 and source != target
+
+
+class TestCoreViolationOracle:
+    def test_matches_table_scan_on_seeded_suite(self):
+        probs = (F(1, 8), F(1, 4), F(1, 2), F(3, 4))
+        violations = 0
+        for k in range(400):
+            net = generate_random(2 + k % 9, probs[(k // 9) % 4], seed=5000 + k)
+            for measure in CORE_GAUGES:
+                gauge = measure(net)
+                expected = oracle_violation(net, gauge)
+                got = core_violation(net, gauge)
+                assert got == expected, (net, measure.__name__)
+                violations += expected is not None
+        assert 100 < violations < 1500  # both verdicts well represented
+
+    @given(nets_with_near_core_gauges())
+    def test_matches_table_scan_near_the_core(self, case):
+        net, gauge, moved = case
+        got = core_violation(net, gauge)
+        assert got == oracle_violation(net, gauge)
+        if not moved:
+            assert got is None  # a convex mix of Core vertices is in the Core
+
+
 class TestCoreVertices:
     def test_fig2_matches_known_hull(self, fig2):
         expected = {
@@ -228,12 +294,11 @@ class TestCoreVertices:
 class TestHullMembership:
     def test_core_membership_matches_hull_membership(self, fig1, fig2, fig3):
         nets = [fig1, fig2, fig3] + random_nets(15, 5, seed=77)
-        measures = (beta_measure, gately_measure, restricted_egalitarian, proportional_measure)
         for net in nets:
             if simple_subnetwork_count(net) > 2000:
                 continue
             vertices = [tuple(v) for v in core_vertices(net)]
-            for measure in measures:
+            for measure in CORE_GAUGES:
                 gauge = measure(net)
                 assert is_core_gauge(net, gauge) == in_convex_hull(tuple(gauge), vertices)
 
