@@ -147,26 +147,36 @@ def dual(v: TUGame) -> TUGame:
 
 
 def is_convex(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> bool:
-    """Exhaustive supermodularity check over all coalition pairs."""
-    _check_player_cap(v.n, cap)
-    w = v.worths
-    for h in all_coalitions(v.n):
-        wh = w[h]
-        for k in range(h, 1 << v.n):
-            if wh + w[k] > w[h | k] + w[h & k]:
-                return False
-    return True
+    """Supermodularity: no second difference of the worths is negative."""
+    return _second_differences_keep_sign(v, 1, cap)
 
 
 def is_concave(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> bool:
-    """Exhaustive submodularity check over all coalition pairs."""
+    """Submodularity: no second difference of the worths is positive."""
+    return _second_differences_keep_sign(v, -1, cap)
+
+
+def _second_differences_keep_sign(v: TUGame, sign: int, cap: int) -> bool:
+    """True when ``sign * (v(S+i+j) - v(S+i) - v(S+j) + v(S)) >= 0`` for every
+    coalition S and players i < j outside it.
+
+    This local test is equivalent to comparing ``v(S) + v(T)`` with
+    ``v(S | T) + v(S & T)`` over all coalition pairs (Shapley 1971), but
+    takes O(n^2 2^n) steps instead of O(4^n).  Stops at the first
+    quadruple of the wrong sign.
+    """
     _check_player_cap(v.n, cap)
     w = v.worths
+    players = [1 << i for i in range(v.n)]
     for h in all_coalitions(v.n):
         wh = w[h]
-        for k in range(h, 1 << v.n):
-            if wh + w[k] < w[h | k] + w[h & k]:
-                return False
+        outside = [bit for bit in players if not h & bit]
+        for a, bit in enumerate(outside):
+            hi = h | bit
+            gain = w[hi] - wh
+            for other in outside[a + 1:]:
+                if sign * (w[hi | other] - w[h | other] - gain) < 0:
+                    return False
     return True
 
 

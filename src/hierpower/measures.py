@@ -20,8 +20,8 @@ from .networks import (
     DEFAULT_SUBNETWORK_CAP,
     HierNet,
     NodePartition,
+    _predecessor_picks,
     partition,
-    simple_subnetworks,
     strong_successors,
 )
 
@@ -240,12 +240,21 @@ def core_vertices(
     net: HierNet, cap: int = DEFAULT_SUBNETWORK_CAP
 ) -> tuple[Imputation, ...]:
     """Vertices of the set of Core gauges: one out-degree gauge per simple
-    subnetwork, deduplicated (distinct subnetworks may tie) and sorted."""
-    seen = {
-        tuple(Fraction(mask.bit_count()) for mask in sub.succ_masks)
-        for sub in simple_subnetworks(net, cap)
-    }
-    return tuple(Imputation(values) for values in sorted(seen))
+    subnetwork, deduplicated (distinct subnetworks may tie) and sorted.
+
+    Each simple subnetwork keeps one predecessor per dominated node, and
+    its out-degree gauge counts how often each node was kept, so the
+    counts are tallied straight from the predecessor choices without
+    building the subnetworks.  Refuses up front when there are more than
+    ``cap`` choices, like :func:`simple_subnetworks`.
+    """
+    seen = set()
+    for picks in _predecessor_picks(net, cap):
+        degrees = [0] * net.n
+        for i, _ in picks:
+            degrees[i] += 1
+        seen.add(tuple(degrees))
+    return tuple(Imputation(degrees) for degrees in sorted(seen))
 
 
 def unique_simple_gauge(net: HierNet) -> Imputation:

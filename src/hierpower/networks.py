@@ -228,6 +228,22 @@ def simple_subnetwork_count(net: HierNet) -> int:
     return count
 
 
+def _predecessor_picks(net: HierNet, cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every way to keep one predecessor per dominated node, each as the
+    kept ``(predecessor, node)`` edges, dominated nodes ordered by id.
+
+    Lexicographic over the predecessor choices.  Refuses at the call,
+    before yielding anything, when there are more than ``cap`` ways.
+    """
+    total = simple_subnetwork_count(net)
+    if total > cap:
+        raise CapExceededError("simple-subnetwork enumeration", total, cap)
+    choices = [
+        [(i, j) for i in members(net.pred_masks[j])] for j in sorted(partition(net).dominated)
+    ]
+    return itertools.product(*choices)
+
+
 def simple_subnetworks(
     net: HierNet, cap: int = DEFAULT_SUBNETWORK_CAP
 ) -> Iterator[HierNet]:
@@ -238,13 +254,8 @@ def simple_subnetworks(
     lexicographic over predecessor choices, dominated nodes ordered by id.
     Refuses upfront when the total count exceeds ``cap``.
     """
-    total = simple_subnetwork_count(net)
-    if total > cap:
-        raise CapExceededError("simple-subnetwork enumeration", total, cap)
-    dominated = sorted(partition(net).dominated)
-    choices = [sorted(members(net.pred_masks[j])) for j in dominated]
-    for picks in itertools.product(*choices):
+    for picks in _predecessor_picks(net, cap):
         masks = [0] * net.n
-        for j, i in zip(dominated, picks):
+        for i, j in picks:
             masks[i] |= 1 << j
         yield HierNet._from_masks(net.n, masks)

@@ -13,7 +13,7 @@ plus the Shapley permutation oracle, over a network family.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +21,7 @@ from .games import (
     BALANCED_PROPENSITY,
     DEFAULT_PLAYER_CAP,
     Imputation,
+    TUGame,
     dual,
     gately,
     harsanyi_dividends,
@@ -134,12 +135,22 @@ class TheoremReport:
         return tuple(c for c in self.clauses if c.status == FAIL)
 
 
-def verify_theorems(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TheoremReport:
-    """Evaluate every theorem clause on one network."""
+def verify_theorems(
+    net: HierNet, games: tuple[TUGame, TUGame], cap: int = DEFAULT_PLAYER_CAP
+) -> TheoremReport:
+    """Evaluate every theorem clause on one network.
+
+    ``games`` are the network's successor and strong successor games,
+    ``(successor_game(net), strong_successor_game(net))``.  A pair over
+    another player count is refused; any other pair not built from
+    ``net`` fails the duality or the unanimity-decomposition clause,
+    which between them pin both games to ``net``.
+    """
+    weak, strong = games
+    if weak.n != net.n or strong.n != net.n:
+        raise ValueError(f"games over {weak.n} and {strong.n} players for {net.n} nodes")
     parts = partition(net)
     flags = classify(net)
-    weak = successor_game(net, cap)
-    strong = strong_successor_game(net, cap)
     beta = beta_measure(net)
     xi = gately_measure(net)
     clauses: list[ClauseResult] = []
@@ -262,12 +273,9 @@ def _propensities_balanced(weak, x: Imputation, parts) -> bool:
     return True
 
 
-def shapley_oracle_agrees(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> bool:
-    """Cross-check the dividend Shapley against the permutation average."""
-    for game in (successor_game(net, cap), strong_successor_game(net, cap)):
-        if shapley(game, cap) != shapley_permutation(game):
-            return False
-    return True
+def shapley_oracle_agrees(games: Iterable[TUGame], cap: int = DEFAULT_PLAYER_CAP) -> bool:
+    """Cross-check the dividend Shapley against the permutation average on each game."""
+    return all(shapley(game, cap) == shapley_permutation(game) for game in games)
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,18 +312,24 @@ def verify_networks(
     Shapley oracle over ``nets``.
 
     ``sources`` names each network in first-failure details.  With a
-    single network, each clause keeps its own detail instead.
+    single network, each clause keeps its own detail instead.  Each
+    network's two successor games are built once and serve both the
+    clauses and the oracle.
     """
     counts: dict[str, dict[str, int]] = {}
     details: dict[str, str] = {}
     first_fail: dict[str, str] = {}
+    oracle: bool | None = None  # None until a network is small enough for it
     for net, source in zip(nets, sources, strict=True):
-        for clause in verify_theorems(net, cap=cap).clauses:
+        games = successor_game(net, cap), strong_successor_game(net, cap)
+        for clause in verify_theorems(net, games, cap).clauses:
             counts.setdefault(clause.name, {PASS: 0, FAIL: 0, SKIP: 0})[clause.status] += 1
             if clause.status == FAIL:
                 first_fail.setdefault(clause.name, f"first failure on {source}: {clause.detail}")
             if len(nets) == 1:
                 details[clause.name] = clause.detail
+        if net.n <= 6 and oracle is not False:  # the oracle averages n! orderings
+            oracle = shapley_oracle_agrees(games, cap)
 
     axioms = check_axioms(gately_measure, nets)
     for name, ok in (
@@ -328,12 +342,10 @@ def verify_networks(
             source = sources[axioms.witness.net_index]
             first_fail[name] = f"first failure on {source}: axiom failed"
 
-    small = [net for net in nets if net.n <= 6]  # the oracle averages n! orderings
-    if small:
-        ok = all(shapley_oracle_agrees(net, cap=cap) for net in small)
-        counts["shapley-oracle"] = {PASS: int(ok), FAIL: int(not ok), SKIP: 0}
-    else:
+    if oracle is None:
         counts["shapley-oracle"] = {PASS: 0, FAIL: 0, SKIP: 1}
+    else:
+        counts["shapley-oracle"] = {PASS: int(oracle), FAIL: int(not oracle), SKIP: 0}
 
     return VerifyReport(
         networks=len(nets),

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import hierpower.games
 import hierpower.networks
+import hierpower.verification
 from hierpower.cli import MEASURES, main
 from tests.conftest import fixture_path
 
@@ -219,13 +221,29 @@ class TestVerify:
         assert code == 2
         assert err == "error: node count must be >= 1, got 0\n"
 
+    def test_verify_builds_each_table_once(self, capsys, monkeypatch):
+        built = []
+        for name in ("successor_game", "strong_successor_game"):
+            original = getattr(hierpower.games, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(hierpower.games, name, counting)
+            monkeypatch.setattr(hierpower.verification, name, counting)
+        code, _, _ = run(capsys, "verify", "--input", FIG2)
+        assert code == 0
+        assert built.count("successor_game") == 1
+        assert built.count("strong_successor_game") == 1
+
     def test_clause_failure_exits_nonzero(self, capsys, monkeypatch):
         # Theorem clauses cannot fail on real networks, so force one to
         # exercise the failure aggregation and exit path.
         import hierpower.verification as verification_module
         from hierpower.verification import ClauseResult, TheoremReport
 
-        def forced_failure(net, cap):
+        def forced_failure(net, games, cap):
             return TheoremReport(net=net, clauses=(ClauseResult("duality", "fail", "forced"),))
 
         monkeypatch.setattr(verification_module, "verify_theorems", forced_failure)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from hierpower import (
     unanimity_game,
 )
 from hierpower.errors import CapExceededError
+from tests.oracles.convexity import is_concave_pairs, is_convex_pairs
 
 F = Fraction
 
@@ -216,6 +218,67 @@ class TestShape:
         net = generate_random(5, F(3, 4), seed=seed)
         assert is_convex(strong_successor_game(net))
         assert is_concave(successor_game(net))
+
+
+def signed_unanimity_sum(rng: random.Random, n: int) -> TUGame:
+    """A few unanimity games with random signed, partly fractional weights."""
+    terms = [
+        (rng.randrange(1, 1 << n), rng.choice((-2, -1, F(-1, 2), F(1, 3), 1, 2)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return TUGame(n, [
+        sum((c for carrier, c in terms if h & carrier == carrier), 0) for h in range(1 << n)
+    ])
+
+
+@st.composite
+def dividend_games(draw) -> TUGame:
+    """Worths summed from random Fraction dividends, zero for most coalitions,
+    so that convex, concave and neither all occur."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    dividend = st.one_of(
+        st.just(F(0)), st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    )
+    div = [F(0)] + [draw(dividend) for _ in range((1 << n) - 1)]
+    worths = [sum((div[t] for t in range(h + 1) if t & h == t), F(0)) for h in range(1 << n)]
+    return TUGame(n, worths)
+
+
+class TestShapeMatchesPairScan:
+    """The local second-difference test against the definition's pair scan."""
+
+    @staticmethod
+    def assert_same_verdicts(v: TUGame) -> tuple[bool, bool]:
+        convex, concave = is_convex(v), is_concave(v)
+        assert convex == is_convex_pairs(v)
+        assert concave == is_concave_pairs(v)
+        return convex, concave
+
+    def test_successor_games_of_seeded_networks(self):
+        verdicts = []
+        for n in range(2, 9):
+            for p in (F(1, 8), F(1, 4), F(1, 2), F(3, 4)):
+                net = generate_random(n, p, seed=100 * n + p.denominator)
+                for game in (successor_game(net), strong_successor_game(net)):
+                    verdicts.append(self.assert_same_verdicts(game))
+        # the weak game is concave and the strong one convex, but not conversely
+        assert {convex for convex, _ in verdicts} == {True, False}
+        assert {concave for _, concave in verdicts} == {True, False}
+
+    def test_signed_unanimity_sums(self):
+        rng = random.Random(2024)
+        verdicts = [
+            self.assert_same_verdicts(signed_unanimity_sum(rng, rng.randint(1, 6)))
+            for _ in range(600)
+        ]
+        convex = sum(c for c, _ in verdicts)
+        concave = sum(c for _, c in verdicts)
+        assert 100 < convex < 500
+        assert 100 < concave < 500
+
+    @given(dividend_games())
+    def test_fraction_tables(self, game):
+        self.assert_same_verdicts(game)
 
 
 # --- dividends and Shapley ------------------------------------------------------

@@ -9,6 +9,7 @@ from hierpower import (
     CoreViolation,
     GaugeError,
     HierNet,
+    Imputation,
     beta_measure,
     check_gauge,
     coalition,
@@ -27,6 +28,7 @@ from hierpower import (
     restricted_egalitarian,
     shapley,
     simple_subnetwork_count,
+    simple_subnetworks,
     strong_successor_game,
     successor_game,
     unique_simple_gauge,
@@ -284,6 +286,22 @@ class TestCoreVertices:
     def test_deduplication_can_shrink_the_list(self, fig1):
         assert simple_subnetwork_count(fig1) == 18
         assert len(core_vertices(fig1)) == 12
+
+    def test_matches_out_degrees_of_simple_subnetworks(self, fig1, fig2, fig3):
+        nets = [fig1, fig2, fig3] + [
+            generate_random(n, p, seed=900 + 10 * n + k)
+            for n in range(3, 9)
+            for p in (F(1, 4), F(1, 2))
+            for k in range(3)
+        ]
+        for net in nets:
+            if simple_subnetwork_count(net) > 5000:
+                continue
+            expected = {
+                tuple(mask.bit_count() for mask in sub.succ_masks)
+                for sub in simple_subnetworks(net)
+            }
+            assert core_vertices(net) == tuple(Imputation(v) for v in sorted(expected))
 
     def test_every_vertex_is_a_core_gauge(self, fig1, fig2, fig3):
         for net in (fig1, fig2, fig3):

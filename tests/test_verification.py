@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from hierpower import (
     HierNet,
     beta_measure,
@@ -11,6 +13,8 @@ from hierpower import (
     proportional_measure,
     restricted_egalitarian,
     shapley_oracle_agrees,
+    strong_successor_game,
+    successor_game,
     verify_theorems,
 )
 from hierpower.verification import PASS, SKIP
@@ -20,6 +24,10 @@ F = Fraction
 
 def axiom_suite(*figs) -> list[HierNet]:
     return list(figs) + [generate_random(5, F(1, 2), seed=500 + k) for k in range(40)]
+
+
+def both_games(net: HierNet):
+    return successor_game(net), strong_successor_game(net)
 
 
 class TestCheckAxioms:
@@ -59,7 +67,7 @@ def clause_status(report, name: str) -> str:
 
 class TestVerifyTheorems:
     def test_fig1_report(self, fig1):
-        report = verify_theorems(fig1)
+        report = verify_theorems(fig1, both_games(fig1))
         assert report.passed
         assert clause_status(report, "duality") == PASS
         assert clause_status(report, "beta-core") == PASS
@@ -72,7 +80,7 @@ class TestVerifyTheorems:
         assert "permitted" in core_clause.detail
 
     def test_fig2_report(self, fig2):
-        report = verify_theorems(fig2)
+        report = verify_theorems(fig2, both_games(fig2))
         assert report.passed
         assert clause_status(report, "gately-core-small") == PASS
         assert clause_status(report, "gately-core-weakly-regular") == SKIP
@@ -80,29 +88,44 @@ class TestVerifyTheorems:
         assert clause_status(report, "gately-core") == PASS
 
     def test_fig3_report(self, fig3):
-        report = verify_theorems(fig3)
+        report = verify_theorems(fig3, both_games(fig3))
         assert report.passed
         assert clause_status(report, "gately-core-weakly-regular") == PASS
         assert clause_status(report, "gately-beta-weakly-regular") == PASS
 
     def test_simple_network_clause(self, chain2):
-        report = verify_theorems(chain2)
+        report = verify_theorems(chain2, both_games(chain2))
         assert report.passed
         assert clause_status(report, "simple-unique-core") == PASS
 
     def test_random_networks_all_pass(self):
         for k in range(60):
             net = generate_random(3 + k % 5, F(1, 2), seed=7000 + k)
-            report = verify_theorems(net)
+            report = verify_theorems(net, both_games(net))
             assert report.passed, report.failures()
 
     def test_failures_listed(self, fig1):
-        report = verify_theorems(fig1)
+        report = verify_theorems(fig1, both_games(fig1))
         assert report.failures() == ()
+
+    def test_games_of_another_size_refused(self, fig1, fig2):
+        assert fig1.n != fig2.n
+        with pytest.raises(ValueError, match="players for"):
+            verify_theorems(fig1, both_games(fig2))
+
+    def test_games_of_another_network_fail(self):
+        net = HierNet(3, {0: [1, 2]})
+        other = HierNet(3, {0: [1], 1: [2]})
+        weak, strong = both_games(net)
+        other_weak, other_strong = both_games(other)
+        failed = {c.name for c in verify_theorems(net, (weak, other_strong)).failures()}
+        assert "unanimity-decomposition" in failed
+        failed = {c.name for c in verify_theorems(net, (other_weak, strong)).failures()}
+        assert "duality" in failed
 
 
 class TestShapleyOracle:
     def test_agreement_on_random_networks(self):
         for k in range(10):
             net = generate_random(5, F(1, 2), seed=8000 + k)
-            assert shapley_oracle_agrees(net)
+            assert shapley_oracle_agrees(both_games(net))
