@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``classify`` (structure and regularity flags), ``measure``
-(power gauges by label), ``core`` (membership check or vertex list) and
+(power gauges by label), ``core`` (membership check or Core generators) and
 ``verify`` (theorem clauses over one network or a seeded random family).
 All numbers are printed exactly as ``p/q``; decimals are annotations.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 cap
-exceeded.  Only :class:`HierPowerError` maps to 2; any other exception is
-an internal fault and propagates.
+exceeded (both :class:`HierPowerError`), 4 internal error: any other
+exception, a fault in the program, reported with its traceback.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ from .measures import (
     restricted_egalitarian,
 )
 from .networks import DEFAULT_SUBNETWORK_CAP, HierNet, classify, partition
-from .rationals import as_exact, format_exact
+from .rationals import as_exact
 from .verification import verify_networks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 MEASURES = {
     "beta": beta_measure,
@@ -77,11 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", action="store_true", help=f"include the {name} measure")
     p.add_argument("--all", action="store_true", help="include every measure")
 
-    p = sub.add_parser("core", parents=[common], help="Core membership and vertices")
+    p = sub.add_parser("core", parents=[common], help="Core membership and generating gauges")
     p.add_argument("input", help="network file (JSON or edge list)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--check", choices=sorted(MEASURES), help="test one measure's gauge")
-    group.add_argument("--vertices", action="store_true", help="list the Core vertex gauges")
+    group.add_argument("--vertices", action="store_true", help="list the out-degree gauges "
+                       "of the simple subnetworks, whose convex hull is the Core")
 
     p = sub.add_parser("verify", parents=[common], help="verify theorem clauses")
     group = p.add_mutually_exclusive_group(required=True)
@@ -112,6 +114,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HierPowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a bug, not bad input; argparse's SystemExit passes
+        import traceback  # here, so that no run which succeeds pays for the module
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _load(args) -> tuple[NetworkDocument, HierNet]:
@@ -140,7 +147,7 @@ def _network_summary(doc: NetworkDocument, net: HierNet) -> dict:
 
 def _gauge_json(labels: tuple[str, ...], values) -> dict:
     return {
-        label: {"exact": format_exact(v), "decimal": float(v)}
+        label: {"exact": str(v), "decimal": float(v)}
         for label, v in zip(labels, values)
     }
 
@@ -192,10 +199,10 @@ def _cmd_measure(args) -> int:
     human = [header]
     for i, label in enumerate(doc.labels):
         row = label.ljust(width)
-        row += "".join(f"  {format_exact(results[name][i]):>14}" for name in requested)
+        row += "".join(f"  {str(results[name][i]):>14}" for name in requested)
         human.append(row)
     totals = "total".ljust(width) + "".join(
-        f"  {format_exact(results[name].total()):>14}" for name in requested
+        f"  {str(results[name].total()):>14}" for name in requested
     )
     human.append(totals)
     _emit(args, payload, human)
@@ -205,16 +212,10 @@ def _cmd_measure(args) -> int:
 def _cmd_core(args) -> int:
     doc, net = _load(args)
     if args.vertices:
-        vertices = core_vertices(net, cap=args.subnetwork_cap)
-        payload = {
-            "network": _network_summary(doc, net),
-            "core_vertices": [
-                [format_exact(v) for v in gauge] for gauge in vertices
-            ],
-        }
-        human = [f"{len(vertices)} distinct Core vertex gauge(s) over nodes "
-                 f"({', '.join(doc.labels)}):"]
-        human.extend("(" + ", ".join(format_exact(v) for v in gauge) + ")" for gauge in vertices)
+        rows = [[str(v) for v in gauge] for gauge in core_vertices(net, cap=args.subnetwork_cap)]
+        payload = {"network": _network_summary(doc, net), "core_vertices": rows}
+        human = [f"{len(rows)} distinct Core vertex gauge(s) over nodes ({', '.join(doc.labels)}):"]
+        human.extend("(" + ", ".join(row) + ")" for row in rows)
         _emit(args, payload, human)
         return EXIT_OK
 
@@ -232,14 +233,14 @@ def _cmd_core(args) -> int:
         witness = _coalition_labels(violation.mask, doc.labels)
         payload["violation"] = {
             "coalition": [doc.labels[i] for i in members(violation.mask)],
-            "assigned": format_exact(violation.assigned),
-            "required": format_exact(violation.required),
-            "shortfall": format_exact(violation.shortfall),
+            "assigned": str(violation.assigned),
+            "required": str(violation.required),
+            "shortfall": str(violation.shortfall),
         }
         human = [
             f"gauge {args.check}: NOT in core; violating coalition {witness}: "
-            f"{format_exact(violation.assigned)} < {format_exact(violation.required)} "
-            f"(short by {format_exact(violation.shortfall)})"
+            f"{violation.assigned} < {violation.required} "
+            f"(short by {violation.shortfall})"
         ]
     _emit(args, payload, human)
     return EXIT_OK

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Exit-code mapping used by the CLI: 0 success, 1 verification failure,
-2 input error, 3 cap exceeded.
+2 input error, 3 cap exceeded, 4 internal error (any other exception).
 """
 
 

@@ -10,6 +10,7 @@ All worths are exact rationals; no float ever enters a computation.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .coalitions import Coalition, all_coalitions, coalition, full_coalition, members
 from .errors import CapExceededError, EfficiencyError, NotRegularError
 from .networks import HierNet, partition, strong_successors, weak_successors
-from .rationals import Exact, as_exact, as_fraction
+from .rationals import Exact, _common_denominator, as_exact
 
 DEFAULT_PLAYER_CAP = 24
 
@@ -78,10 +79,16 @@ class Imputation(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[Exact] = ()) -> Imputation:
-        return super().__new__(cls, (as_fraction(v) for v in values))
+        return super().__new__(cls, (Fraction(as_exact(v)) for v in values))
+
+    @classmethod
+    def _from_numerators(cls, numerators: Iterable[int], denominator: int) -> Imputation:
+        # Skips coercion: callers pass ints and a positive int denominator.
+        return super().__new__(cls, (Fraction(k, denominator) for k in numerators))
 
     def total(self) -> Fraction:
-        return sum(self, Fraction(0))
+        numerators, unit = _common_denominator(self)
+        return Fraction(sum(numerators), unit)
 
 
 def unanimity_game(n: int, carrier: Coalition) -> TUGame:
@@ -199,16 +206,15 @@ def harsanyi_dividends(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> tuple[Exact,
 def shapley(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> Imputation:
     """Shapley value via Harsanyi dividends: each coalition's dividend is
     split evenly among its members."""
-    div = harsanyi_dividends(v, cap)
-    out = [Fraction(0)] * v.n
-    for h in all_coalitions(v.n):
-        d = div[h]
-        if d == 0 or h == 0:
-            continue
-        share = Fraction(d, h.bit_count())
-        for i in members(h):
-            out[i] += share
-    return Imputation(out)
+    div, unit = _common_denominator(harsanyi_dividends(v, cap))
+    sizes = math.lcm(*range(1, v.n + 1))  # every coalition size divides it
+    out = [0] * v.n
+    for h, d in enumerate(div):
+        if d:
+            share = d * (sizes // h.bit_count())
+            for i in members(h):
+                out[i] += share
+    return Imputation._from_numerators(out, unit * sizes)
 
 
 def shapley_permutation(v: TUGame) -> Imputation:
@@ -306,14 +312,14 @@ def propensity_to_disrupt(
 
 # --- core membership -----------------------------------------------------------
 
-def coalition_payoffs(x: Imputation) -> tuple[Fraction, ...]:
-    """Subset sums of a payoff vector, indexed by coalition mask."""
-    n = len(x)
-    sums = [Fraction(0)] * (1 << n)
-    for h in range(1, 1 << n):
-        low = h & -h
-        sums[h] = sums[h ^ low] + x[low.bit_length() - 1]
-    return tuple(sums)
+def coalition_payoffs(x: Imputation) -> tuple[list[int], int]:
+    """Subset sums of a payoff vector over one denominator: ``(sums, unit)``,
+    where ``sums[h] / unit`` is what ``x`` pays coalition mask ``h``."""
+    numerators, unit = _common_denominator(x)
+    sums = [0]
+    for k in numerators:  # masks that hold player i follow those that do not
+        sums += [s + k for s in sums]
+    return sums, unit
 
 
 def find_core_violation(
@@ -327,13 +333,13 @@ def find_core_violation(
     _check_player_cap(v.n, cap)
     if len(x) != v.n:
         raise ValueError(f"allocation has {len(x)} entries for {v.n} players")
-    sums = coalition_payoffs(x)
-    if sums[-1] != v.grand_worth():
+    sums, unit = coalition_payoffs(x)
+    if sums[-1] != v.grand_worth() * unit:
         raise EfficiencyError(
-            f"allocation sums to {sums[-1]}, grand worth is {v.grand_worth()}"
+            f"allocation sums to {Fraction(sums[-1], unit)}, grand worth is {v.grand_worth()}"
         )
-    for h in all_coalitions(v.n):
-        if sums[h] < v.worths[h]:
+    for h, worth in enumerate(v.worths):
+        if sums[h] < worth * unit:
             return h
     return None
 

@@ -22,11 +22,14 @@ def generate_random(n: int, edge_prob: object = Fraction(1, 2), seed: int = 0) -
     prob = Fraction(as_exact(edge_prob))
     if not 0 <= prob <= 1:
         raise ValueError(f"edge probability must be in [0, 1], got {prob}")
-    rng = random.Random(seed)
+    # random() returns k / 2**53 for an integer k, and k / 2**53 < num / den
+    # exactly when k * den < num * 2**53: same draws, same edges, no Fraction.
+    draw = random.Random(seed).random
+    den, bound = prob.denominator, prob.numerator << 53
     succ: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            if i != j and rng.random() < prob:
+            if i != j and int(draw() * 2**53) * den < bound:
                 succ[i].add(j)
     return HierNet(n, succ)
 

@@ -24,6 +24,7 @@ from .networks import (
     partition,
     strong_successors,
 )
+from .rationals import _common_denominator
 
 
 def check_gauge(values: Imputation, parts: NodePartition) -> Imputation:
@@ -33,15 +34,23 @@ def check_gauge(values: Imputation, parts: NodePartition) -> Imputation:
     dominated nodes; anything else raises :class:`GaugeError`.  Any
     sequence of exact numbers is accepted.
     """
-    if len(values) != parts.n:
-        raise GaugeError(f"gauge has {len(values)} entries for {parts.n} nodes")
-    for i, v in enumerate(values):
-        if v < 0:
-            raise GaugeError(f"negative weight {v} at node {i}")
-    total = sum(values, Fraction(0))
-    if total != parts.dominated_count:
-        raise GaugeError(f"weights sum to {total}, expected {parts.dominated_count}")
+    _gauge(*_common_denominator(values), parts)
     return values
+
+
+def _gauge(numerators: list[int], unit: int, parts: NodePartition) -> Imputation:
+    """The gauge ``numerators[i] / unit``, once it passes :func:`check_gauge`."""
+    if len(numerators) != parts.n:
+        raise GaugeError(f"gauge has {len(numerators)} entries for {parts.n} nodes")
+    for i, k in enumerate(numerators):
+        if k < 0:
+            raise GaugeError(f"negative weight {Fraction(k, unit)} at node {i}")
+    total = sum(numerators)
+    if total != parts.dominated_count * unit:
+        raise GaugeError(
+            f"weights sum to {Fraction(total, unit)}, expected {parts.dominated_count}"
+        )
+    return Imputation._from_numerators(numerators, unit)
 
 
 def beta_measure(net: HierNet) -> Imputation:
@@ -50,12 +59,10 @@ def beta_measure(net: HierNet) -> Imputation:
     Coincides with the Shapley value of both successor representations.
     """
     parts = partition(net)
-    values = []
-    for mask in net.succ_masks:
-        counts = [parts.preds[j] for j in members(mask)]
-        den = math.lcm(*counts)
-        values.append(Fraction(sum(den // k for k in counts), den))
-    return check_gauge(Imputation(values), parts)
+    unit = math.lcm(*filter(None, parts.preds))
+    share = [unit // k if k else 0 for k in parts.preds]
+    numerators = [sum(share[j] for j in members(mask)) for mask in net.succ_masks]
+    return _gauge(numerators, unit, parts)
 
 
 def gately_measure(net: HierNet) -> Imputation:
@@ -67,12 +74,10 @@ def gately_measure(net: HierNet) -> Imputation:
     with the disruption-balancing value of both successor representations.
     """
     parts = partition(net)
-    values = [Fraction(parts.succs_single[i]) for i in range(net.n)]
-    pool = parts.multi_pred_total
-    if pool:
-        share = Fraction(len(parts.multi_pred), pool)
-        values = [v + parts.succs_multi[i] * share for i, v in enumerate(values)]
-    return check_gauge(Imputation(values), parts)
+    pool = parts.multi_pred_total or 1  # no contested node: no share to hand out
+    contested = len(parts.multi_pred)
+    split = zip(parts.succs_single, parts.succs_multi)
+    return _gauge([single * pool + multi * contested for single, multi in split], pool, parts)
 
 
 def proportional_allocator(net: HierNet) -> tuple[Fraction, ...]:
@@ -92,13 +97,11 @@ def restricted_egalitarian(net: HierNet) -> Imputation:
     """Like the proportional split, but the contested pool is shared equally
     among the nodes that control at least one contested node."""
     parts = partition(net)
-    values = [Fraction(parts.succs_single[i]) for i in range(net.n)]
-    controllers = [i for i in range(net.n) if parts.succs_multi[i] > 0]
-    if controllers:
-        share = Fraction(len(parts.multi_pred), len(controllers))
-        for i in controllers:
-            values[i] += share
-    return check_gauge(Imputation(values), parts)
+    controllers = sum(1 for multi in parts.succs_multi if multi) or 1
+    contested = len(parts.multi_pred)
+    split = zip(parts.succs_single, parts.succs_multi)
+    numerators = [single * controllers + (contested if multi else 0) for single, multi in split]
+    return _gauge(numerators, controllers, parts)
 
 
 def proportional_measure(net: HierNet) -> Imputation:
@@ -107,16 +110,13 @@ def proportional_measure(net: HierNet) -> Imputation:
     An edgeless network yields the zero gauge by convention.
     """
     parts = partition(net)
-    total = sum(parts.succs)
-    if total == 0:
-        return check_gauge(Imputation([0] * net.n), parts)
-    scale = Fraction(parts.dominated_count, total)
-    return check_gauge(Imputation(s * scale for s in parts.succs), parts)
+    total = sum(parts.succs) or 1  # edgeless: every out-degree is 0
+    return _gauge([s * parts.dominated_count for s in parts.succs], total, parts)
 
 
 def degree_measure(net: HierNet) -> Imputation:
     """Raw out-degree vector; in general not a power gauge."""
-    return Imputation(mask.bit_count() for mask in net.succ_masks)
+    return Imputation._from_numerators((mask.bit_count() for mask in net.succ_masks), 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,10 +147,9 @@ def core_violation(
     one an ascending scan of the strong successor table finds first.
     Networks with more than ``cap`` nodes are still refused up front.
     """
-    check_gauge(delta, partition(net))
+    cost, unit = _common_denominator(delta)
+    _gauge(cost, unit, partition(net))
     _check_player_cap(net.n, cap)
-    unit = math.lcm(*(d.denominator for d in delta))
-    cost = [d.numerator * (unit // d.denominator) for d in delta]
     controls = [pred for pred in net.pred_masks if pred]
     if _best_surplus(controls, cost, unit, 0, 0) <= 0:
         return None
@@ -160,7 +159,7 @@ def core_violation(
             outside |= 1 << i
         else:
             inside |= 1 << i
-    assigned = sum((delta[i] for i in members(inside)), Fraction(0))
+    assigned = Fraction(sum(cost[i] for i in members(inside)), unit)
     required = Fraction(strong_successors(net, inside).bit_count())
     return CoreViolation(mask=inside, assigned=assigned, required=required)
 
@@ -239,8 +238,11 @@ def is_core_gauge(net: HierNet, delta: Imputation, cap: int = DEFAULT_PLAYER_CAP
 def core_vertices(
     net: HierNet, cap: int = DEFAULT_SUBNETWORK_CAP
 ) -> tuple[Imputation, ...]:
-    """Vertices of the set of Core gauges: one out-degree gauge per simple
-    subnetwork, deduplicated (distinct subnetworks may tie) and sorted.
+    """Out-degree gauges of the simple subnetworks, whose convex hull is the
+    Core, deduplicated (distinct subnetworks may tie) and sorted.
+
+    Every extreme point of the Core is among them, but not every gauge
+    listed is an extreme point: a tally can lie between two others.
 
     Each simple subnetwork keeps one predecessor per dominated node, and
     its out-degree gauge counts how often each node was kept, so the
@@ -254,10 +256,10 @@ def core_vertices(
         for i, _ in picks:
             degrees[i] += 1
         seen.add(tuple(degrees))
-    return tuple(Imputation(degrees) for degrees in sorted(seen))
+    return tuple(Imputation._from_numerators(degrees, 1) for degrees in sorted(seen))
 
 
 def unique_simple_gauge(net: HierNet) -> Imputation:
     """The out-degree gauge, which for a simple network is the only Core gauge."""
     parts = partition(net)
-    return check_gauge(Imputation(parts.succs), parts)
+    return _gauge(list(parts.succs), 1, parts)

@@ -4,11 +4,15 @@ Every worth, gauge entry and share in this package is an exact rational:
 a Python ``int`` or ``fractions.Fraction``.  Floats are refused at every
 boundary so rounding error can never leak into a computation; decimal
 renderings for display are derived at the very end and never read back.
+Inside, a vector of rationals is carried as integer numerators over one
+common denominator; a ``Fraction`` is built once per entry, at the output.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+from collections.abc import Sequence
 from fractions import Fraction
 
 Exact = int | Fraction
@@ -38,11 +42,8 @@ def as_exact(value: object) -> int | Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
-def as_fraction(value: object) -> Fraction:
-    """Like :func:`as_exact` but always returns a ``Fraction``."""
-    return Fraction(as_exact(value))
-
-
-def format_exact(value: Exact) -> str:
-    """Render as a ``p/q`` (or plain integer) string that reparses exactly."""
-    return str(as_exact(value))
+def _common_denominator(values: Sequence[Exact]) -> tuple[list[int], int]:
+    """``(numerators, unit)``: each value times ``unit``, the lcm of their
+    denominators, so that ``values[i] == numerators[i] / unit`` exactly."""
+    unit = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (unit // v.denominator) for v in values], unit

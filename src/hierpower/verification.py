@@ -81,12 +81,11 @@ def check_axioms(measure: Measure, nets: Sequence[HierNet]) -> AxiomReport:
     failed: dict[str, int] = {}
     for index, net in enumerate(nets):
         parts = partition(net)
-        out = tuple(Fraction(v) for v in measure(net))
-        if "normalisation" not in failed:
-            if sum(out, Fraction(0)) != parts.dominated_count:
-                failed["normalisation"] = index
+        out = Imputation(measure(net))
+        if "normalisation" not in failed and out.total() != parts.dominated_count:
+            failed["normalisation"] = index
         if "normality" not in failed:
-            restricted = tuple(Fraction(v) for v in measure(principal_restriction(net)))
+            restricted = Imputation(measure(principal_restriction(net)))
             expected = tuple(parts.succs_single[i] + restricted[i] for i in range(net.n))
             if out != expected:
                 failed["normality"] = index

@@ -15,13 +15,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from hierpower.rationals import as_fraction
+from hierpower.rationals import as_exact
 
 
 def in_convex_hull(point: Sequence, vertices: Sequence[Sequence]) -> bool:
     """True when ``point`` lies in the convex hull of ``vertices``."""
-    verts = [tuple(as_fraction(c) for c in v) for v in vertices]
-    x = tuple(as_fraction(c) for c in point)
+    verts = [tuple(Fraction(as_exact(c)) for c in v) for v in vertices]
+    x = tuple(Fraction(as_exact(c)) for c in point)
     if not verts:
         return False
     dim = len(x)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hierpower
 import hierpower.games
 import hierpower.networks
 import hierpower.verification
@@ -91,6 +95,19 @@ class TestMeasure:
         code, _, _ = run(capsys, "measure", FIG1, "--all")
         assert code == 0
         assert len(built) == 1
+
+    def test_gauges_and_vertices_add_no_fractions(self, capsys, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("a Fraction addition")
+
+        monkeypatch.setattr(Fraction, "__add__", refuse)
+        monkeypatch.setattr(Fraction, "__radd__", refuse)
+        code, out, err = run(capsys, "measure", FIG1, "--all", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["measures"]["gately"]["1"]["exact"] == "3/8"
+        code, out, err = run(capsys, "core", FIG2, "--vertices", "--json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["core_vertices"]) == 5
 
     def test_requires_a_measure_flag(self, capsys):
         code, _, err = run(capsys, "measure", FIG1)
@@ -266,13 +283,27 @@ class TestErrors:
         assert code == 2
         assert "line 2" in err and "self-loop on node 'A'" in err
 
-    def test_internal_value_error_is_not_an_input_error(self, monkeypatch):
+    def test_internal_value_error_is_not_an_input_error(self, capsys, monkeypatch):
         def broken(net):
             raise ValueError("internal fault")
 
         monkeypatch.setitem(MEASURES, "gately", broken)
-        with pytest.raises(ValueError, match="internal fault"):
-            main(["measure", FIG1, "--gately"])
+        code, out, err = run(capsys, "measure", FIG1, "--gately")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in broken" in err
+        assert err.endswith("internal error: ValueError: internal fault\n")
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(hierpower.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "hierpower", "--version"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"hierpower {hierpower.__version__}\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

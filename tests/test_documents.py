@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierpower import (
     InputError,
@@ -121,3 +125,60 @@ class TestLoadDocument:
         path = tmp_path / "net"  # no extension
         path.write_text('  {"nodes": ["A", "B"], "edges": [["A", "B"]]}')
         assert load_document(path).edges == (("A", "B"),)
+
+
+# --- fuzzing ----------------------------------------------------------------------
+
+# Tokens the parsers branch on, so random text reaches their inner checks.
+PARSER_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(["node", "A", "B", "c", " ", "\t", "\n", "#", "\r\n"]))
+    .map("".join),
+    st.lists(st.sampled_from(["{", "}", "[", "]", '"', ",", ":", '"nodes"', '"edges"',
+                              '"A"', '"B"', "1", "null", " "]))
+    .map("".join),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["nodes", "edges", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+# Whitespace separates fields and ``#`` starts a comment in the edge-list
+# format, and ``node`` is its keyword, so labels avoid all three.
+LABELS = st.text(
+    alphabet=st.characters(blacklist_characters="#", blacklist_categories=("Cs",)),
+    min_size=1, max_size=6,
+).filter(lambda label: not any(c.isspace() for c in label) and label != "node")
+
+
+@st.composite
+def documents(draw) -> NetworkDocument:
+    labels = draw(st.lists(LABELS, min_size=1, max_size=6, unique=True))
+    pairs = [(a, b) for a in labels for b in labels if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return NetworkDocument(labels=tuple(labels), edges=tuple(edges))
+
+
+class TestFuzz:
+    @settings(max_examples=200)
+    @given(PARSER_TEXT)
+    def test_edge_list_parser_raises_only_input_errors(self, text):
+        try:
+            document_from_edge_list(text)
+        except InputError:
+            pass
+
+    @settings(max_examples=200)
+    @given(st.one_of(PARSER_TEXT, JSON_VALUES.map(json.dumps)))
+    def test_json_parser_raises_only_input_errors(self, text):
+        try:
+            document_from_json(text)
+        except InputError:
+            pass
+
+    @settings(max_examples=100)
+    @given(documents())
+    def test_both_formats_round_trip(self, doc):
+        assert document_from_edge_list(document_to_edge_list(doc)) == doc
+        assert document_from_json(document_to_json(doc)) == doc

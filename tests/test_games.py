@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpower import (
@@ -32,7 +32,9 @@ from hierpower import (
     unanimity_game,
 )
 from hierpower.errors import CapExceededError
+from hierpower.games import coalition_payoffs
 from tests.oracles.convexity import is_concave_pairs, is_convex_pairs
+from tests.oracles.core import first_deficient_coalition, subset_payoffs
 
 F = Fraction
 
@@ -72,6 +74,40 @@ def sample_games() -> list[TUGame]:
         games.append(successor_game(net))
         games.append(strong_successor_game(net))
     return games
+
+
+@st.composite
+def fraction_games(draw) -> TUGame:
+    n = draw(st.integers(min_value=1, max_value=5))
+    worths = [0] + [
+        draw(st.fractions(min_value=-3, max_value=3, max_denominator=12))
+        for _ in range((1 << n) - 1)
+    ]
+    return TUGame(n, worths)
+
+
+def game_around(x: list, slack) -> TUGame:
+    """A game worth what ``x`` pays each coalition less ``slack(h)``, and
+    exactly what it pays the grand coalition."""
+    sums = subset_payoffs(x)
+    full = len(sums) - 1
+    return TUGame(len(x), [0] + [sums[h] - (slack(h) if h != full else 0)
+                                 for h in range(1, full + 1)])
+
+
+@st.composite
+def allocations_and_games(draw) -> tuple[Imputation, TUGame]:
+    """Mixed-denominator payoffs and a Fraction-worth game they distribute;
+    the game sits at or below the payoffs (so they are in its Core) when
+    ``inside`` is drawn, and anywhere around them otherwise."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    x = draw(st.lists(st.fractions(min_value=-2, max_value=4, max_denominator=12),
+                      min_size=n, max_size=n))
+    inside = draw(st.booleans())
+    low = 0 if inside else -1
+    slacks = draw(st.lists(st.fractions(min_value=low, max_value=2, max_denominator=7),
+                           min_size=1 << n, max_size=1 << n))
+    return Imputation(x), game_around(x, slacks.__getitem__)
 
 
 @st.composite
@@ -346,6 +382,11 @@ class TestShapley:
     def test_matches_permutation_oracle(self, game):
         assert tuple(shapley(game)) == tuple(shapley_permutation(game))
 
+    @settings(max_examples=50)
+    @given(fraction_games())
+    def test_matches_permutation_oracle_on_fraction_worths(self, game):
+        assert tuple(shapley(game)) == tuple(shapley_permutation(game))
+
     @given(st.integers(min_value=0, max_value=60))
     def test_same_value_for_both_representations(self, seed):
         net = generate_random(5, F(1, 2), seed=seed)
@@ -444,6 +485,20 @@ class TestPropensity:
             propensity_to_disrupt(game, Imputation((F(0), F(0))), 0)
 
 
+class TestImputation:
+    @settings(max_examples=50)
+    @given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60))))
+    def test_total_equals_fraction_sum(self, values):
+        x = Imputation(values)
+        assert x.total() == sum(x, F(0))
+        assert type(x.total()) is F
+
+    def test_entries_are_fractions(self):
+        x = Imputation([1, F(1, 2), "-3/4"])
+        assert x == (F(1), F(1, 2), F(-3, 4))
+        assert all(type(v) is F for v in x)
+
+
 # --- core -----------------------------------------------------------------------
 
 class TestCore:
@@ -465,6 +520,32 @@ class TestCore:
         game = strong_successor_game(fig1)
         with pytest.raises(EfficiencyError):
             in_core(game, Imputation(tuple(F(0) for _ in range(fig1.n))))
+
+    def test_efficiency_error_names_the_exact_sum(self):
+        game = TUGame(2, [0, 0, 0, 1])
+        with pytest.raises(EfficiencyError, match=r"^allocation sums to 5/6, grand worth is 1$"):
+            find_core_violation(game, Imputation((F(1, 2), F(1, 3))))
+
+    @settings(max_examples=50)
+    @given(allocations_and_games())
+    def test_matches_fraction_scan(self, case):
+        x, game = case
+        sums, unit = coalition_payoffs(x)
+        assert [F(s, unit) for s in sums] == subset_payoffs(x)
+        assert find_core_violation(game, x) == first_deficient_coalition(game, x)
+
+    def test_matches_fraction_scan_on_seeded_games(self):
+        rng = random.Random(2024)
+        verdicts = {True: 0, False: 0}
+        for k in range(300):
+            n = 1 + k % 6
+            x = [F(rng.randint(-6, 12), rng.randint(1, 12)) for _ in range(n)]
+            low = 0 if k % 2 else -1  # odd k: every coalition is paid at least its worth
+            game = game_around(x, lambda h: F(rng.randint(low * 5, 9), rng.randint(1, 5)))
+            got = find_core_violation(game, Imputation(x))
+            assert got == first_deficient_coalition(game, x), (k, x)
+            verdicts[got is None] += 1
+        assert min(verdicts.values()) > 60  # both verdicts well represented
 
     def test_convex_game_contains_its_shapley_point(self):
         for seed in (4, 5, 6):

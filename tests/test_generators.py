@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hierpower import classify, generate_random, standard_suite
 
 F = Fraction
+PINNED = Path(__file__).resolve().parent / "golden" / "random_networks.json"
 
 
 def test_same_seed_same_network():
@@ -59,3 +62,13 @@ def test_standard_suite_is_deterministic():
 def test_suite_networks_are_valid():
     for net in standard_suite(20, seed=11):
         classify(net)  # must not raise
+
+
+def test_seeds_pin_the_same_edge_sets():
+    """Edge sets recorded before the draw comparison moved to integers; any
+    change to how ``random()`` draws are compared with the probability
+    must leave every one of them intact."""
+    recorded = json.loads(PINNED.read_text(encoding="utf-8"))
+    for case in recorded:
+        net = generate_random(case["nodes"], F(case["edge_prob"]), seed=case["seed"])
+        assert list(net.succ_masks) == case["succ_masks"], case

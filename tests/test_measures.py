@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hierpower import (
     Imputation,
     beta_measure,
     check_gauge,
+    classify,
     coalition,
     core_vertices,
     core_violation,
@@ -29,6 +31,7 @@ from hierpower import (
     shapley,
     simple_subnetwork_count,
     simple_subnetworks,
+    standard_suite,
     strong_successor_game,
     successor_game,
     unique_simple_gauge,
@@ -157,6 +160,39 @@ class TestDegreeMeasure:
             check_gauge(degree_measure(fig1), partition(fig1))
 
 
+def fraction_formulas(net: HierNet) -> dict:
+    """Each measure as one Fraction per entry, added the way the closed
+    forms read, independent of the integer numerators the package uses."""
+    parts = partition(net)
+    single, multi = parts.succs_single, parts.succs_multi
+    pool, contested = parts.multi_pred_total, len(parts.multi_pred)
+    controllers = sum(1 for m in multi if m)
+    total = sum(parts.succs)
+    return {
+        beta_measure: [sum((F(1, parts.preds[j]) for j in net.successors(i)), F(0))
+                       for i in range(net.n)],
+        gately_measure: [F(single[i]) + (multi[i] * F(contested, pool) if pool else 0)
+                         for i in range(net.n)],
+        restricted_egalitarian: [F(single[i]) + (F(contested, controllers) if multi[i] else 0)
+                                 for i in range(net.n)],
+        proportional_measure: [s * F(parts.dominated_count, total) if total else F(0)
+                               for s in parts.succs],
+        degree_measure: [F(s) for s in parts.succs],
+    }
+
+
+class TestFractionFormulas:
+    def test_measures_match_fraction_formulas_on_seeded_suite(self):
+        nets = standard_suite(200) + [generate_random(n, F(1, 4), seed=n) for n in (20, 40)]
+        for net in nets:
+            for measure, expected in fraction_formulas(net).items():
+                got = measure(net)
+                assert type(got) is Imputation and all(type(v) is F for v in got)
+                assert list(got) == expected, (net, measure.__name__)
+            if classify(net).simple:
+                assert list(unique_simple_gauge(net)) == fraction_formulas(net)[degree_measure]
+
+
 class TestGaugeInvariants:
     def test_every_measure_is_a_valid_gauge(self):
         for net in random_nets(30, 6, seed=900):
@@ -173,6 +209,23 @@ class TestGaugeInvariants:
     def test_rejects_wrong_length(self, chain2):
         with pytest.raises(GaugeError, match="entries"):
             check_gauge((F(1),), partition(chain2))
+
+    @pytest.mark.parametrize("values, message", [
+        ((F(1),), "gauge has 1 entries for 2 nodes"),
+        ((F(4, 3), F(-1, 3)), "negative weight -1/3 at node 1"),
+        ((2, -1), "negative weight -1 at node 1"),
+        ((F(1, 2), F(1, 3)), "weights sum to 5/6, expected 1"),
+        ((F(3, 2), 1), "weights sum to 5/2, expected 1"),
+        ((1, 1), "weights sum to 2, expected 1"),
+    ])
+    def test_messages_name_the_exact_fault(self, chain2, values, message):
+        with pytest.raises(GaugeError) as exc:
+            check_gauge(values, partition(chain2))
+        assert str(exc.value) == message
+
+    def test_returns_its_argument(self, chain2):
+        values = [F(1, 2), F(1, 2)]
+        assert check_gauge(values, partition(chain2)) is values
 
 
 class TestCoreGauge:
@@ -302,6 +355,25 @@ class TestCoreVertices:
                 for sub in simple_subnetworks(net)
             }
             assert core_vertices(net) == tuple(Imputation(v) for v in sorted(expected))
+
+    def test_every_marginal_vector_is_listed(self, fig2):
+        # The strong successor game is convex, so its marginal vectors are
+        # the Core's extreme points; each must be among the listed gauges.
+        nets = [fig2, HierNet(4, {0: {2, 3}, 1: {2, 3}})] + [
+            generate_random(n, p, seed=300 + 10 * n + k)
+            for n in range(2, 8)
+            for p in (F(1, 4), F(1, 2), F(3, 4))
+            for k in range(2)
+        ]
+        for net in nets:
+            worths = strong_successor_game(net).worths
+            listed = set(core_vertices(net))
+            for order in itertools.permutations(range(net.n)):
+                vector, mask = [0] * net.n, 0
+                for i in order:
+                    vector[i] = worths[mask | 1 << i] - worths[mask]
+                    mask |= 1 << i
+                assert Imputation(vector) in listed, (net, order)
 
     def test_every_vertex_is_a_core_gauge(self, fig1, fig2, fig3):
         for net in (fig1, fig2, fig3):
