@@ -13,19 +13,19 @@ exception, a fault in the program, reported with its traceback.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from collections.abc import Sequence
 
 from . import __version__
 from .coalitions import members
-from .documents import NetworkDocument, load_document
+from .documents import NetworkDocument, _indented_json, load_document
 from .errors import CapExceededError, HierPowerError, InputError
-from .games import DEFAULT_PLAYER_CAP
+from .games import DEFAULT_PLAYER_CAP, Imputation
 from .generators import generate_random
 from .measures import (
+    _vertex_degrees,
     beta_measure,
-    core_vertices,
     core_violation,
     degree_measure,
     gately_measure,
@@ -98,8 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first call, reused after
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "classify":
             return _cmd_classify(args)
@@ -152,14 +155,6 @@ def _gauge_json(labels: tuple[str, ...], values) -> dict:
     }
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in human:
-            print(line)
-
-
 def _coalition_labels(mask: int, labels: tuple[str, ...]) -> str:
     return "{" + ", ".join(labels[i] for i in members(mask)) + "}"
 
@@ -167,8 +162,11 @@ def _coalition_labels(mask: int, labels: tuple[str, ...]) -> str:
 def _cmd_classify(args) -> int:
     doc, net = _load(args)
     summary = _network_summary(doc, net)
+    if args.json:
+        print(_indented_json({"network": summary}))
+        return EXIT_OK
     cls = summary["class"]
-    human = [
+    print("\n".join([
         f"nodes: {summary['node_count']}   edges: {summary['edge_count']}",
         f"dominated: {summary['dominated']}   "
         f"single-predecessor: {summary['single_pred']}   "
@@ -177,8 +175,7 @@ def _cmd_classify(args) -> int:
             f"{name.replace('_', ' ')}: {'yes' if cls[name] else 'no'}"
             for name in ("simple", "regular", "weakly_regular", "principal")
         ),
-    ]
-    _emit(args, {"network": summary}, human)
+    ]))
     return EXIT_OK
 
 
@@ -190,59 +187,66 @@ def _cmd_measure(args) -> int:
     if not requested:
         raise InputError("choose at least one measure flag or --all")
     results = {name: MEASURES[name](net) for name in requested}
-    payload = {
-        "network": _network_summary(doc, net),
-        "measures": {name: _gauge_json(doc.labels, values) for name, values in results.items()},
-    }
-    width = max(5, *(len(label) for label in doc.labels))
-    header = "node".ljust(width) + "".join(f"  {name:>14}" for name in requested)
-    human = [header]
-    for i, label in enumerate(doc.labels):
-        row = label.ljust(width)
-        row += "".join(f"  {str(results[name][i]):>14}" for name in requested)
-        human.append(row)
-    totals = "total".ljust(width) + "".join(
-        f"  {str(results[name].total()):>14}" for name in requested
-    )
-    human.append(totals)
-    _emit(args, payload, human)
+    if args.json:
+        print(_indented_json({
+            "network": _network_summary(doc, net),
+            "measures": {name: _gauge_json(doc.labels, values) for name, values in results.items()},
+        }))
+    else:
+        print("\n".join(_measure_rows(doc.labels, results)))
     return EXIT_OK
+
+
+def _measure_rows(labels: tuple[str, ...], results: dict[str, Imputation]) -> list[str]:
+    """The text table: one column per gauge, one row per node, then the totals."""
+    width = max(5, *(len(label) for label in labels))
+    gauges = results.values()
+    columns = [[f"  {str(v):>14}" for v in gauge] for gauge in gauges]
+    rows = ["node".ljust(width) + "".join(f"  {name:>14}" for name in results)]
+    rows.extend(label.ljust(width) + "".join(cells) for label, *cells in zip(labels, *columns))
+    rows.append("total".ljust(width) + "".join(f"  {str(g.total()):>14}" for g in gauges))
+    return rows
 
 
 def _cmd_core(args) -> int:
     doc, net = _load(args)
     if args.vertices:
-        rows = [[str(v) for v in gauge] for gauge in core_vertices(net, cap=args.subnetwork_cap)]
-        payload = {"network": _network_summary(doc, net), "core_vertices": rows}
-        human = [f"{len(rows)} distinct Core vertex gauge(s) over nodes ({', '.join(doc.labels)}):"]
-        human.extend("(" + ", ".join(row) + ")" for row in rows)
-        _emit(args, payload, human)
+        # Integer tallies rendered straight, with no Fraction per entry.
+        rows = [list(map(str, degrees)) for degrees in _vertex_degrees(net, args.subnetwork_cap)]
+        if args.json:
+            print(_indented_json({"network": _network_summary(doc, net), "core_vertices": rows}))
+        else:
+            nodes = ", ".join(doc.labels)
+            header = f"{len(rows)} distinct Core vertex gauge(s) over nodes ({nodes}):"
+            print("\n".join([header, *("(" + ", ".join(row) + ")" for row in rows)]))
         return EXIT_OK
 
     gauge = MEASURES[args.check](net)
     violation = core_violation(net, gauge, cap=args.cap)
+    if not args.json:
+        if violation is None:
+            print(f"gauge {args.check}: in core")
+        else:
+            print(
+                f"gauge {args.check}: NOT in core; violating coalition "
+                f"{_coalition_labels(violation.mask, doc.labels)}: "
+                f"{violation.assigned} < {violation.required} (short by {violation.shortfall})"
+            )
+        return EXIT_OK
     payload = {
         "network": _network_summary(doc, net),
         "measure": args.check,
         "gauge": _gauge_json(doc.labels, gauge),
         "in_core": violation is None,
     }
-    if violation is None:
-        human = [f"gauge {args.check}: in core"]
-    else:
-        witness = _coalition_labels(violation.mask, doc.labels)
+    if violation is not None:
         payload["violation"] = {
             "coalition": [doc.labels[i] for i in members(violation.mask)],
             "assigned": str(violation.assigned),
             "required": str(violation.required),
             "shortfall": str(violation.shortfall),
         }
-        human = [
-            f"gauge {args.check}: NOT in core; violating coalition {witness}: "
-            f"{violation.assigned} < {violation.required} "
-            f"(short by {violation.shortfall})"
-        ]
-    _emit(args, payload, human)
+    print(_indented_json(payload))
     return EXIT_OK
 
 
@@ -268,27 +272,29 @@ def _cmd_verify(args) -> int:
         sources = [f"random(nodes={args.nodes}, seed={args.seed + k})" for k in range(len(nets))]
 
     report = verify_networks(nets, sources, cap=args.cap)
-    payload = {
-        "networks": report.networks,
-        "clauses": [
-            {"name": c.name, "status": c.status, "pass": c.passed, "fail": c.failed,
-             "skip": c.skipped, "detail": c.detail}
-            for c in report.clauses
-        ],
-        "ok": report.ok,
-    }
-    width = max(len(c.name) for c in report.clauses)
-    human = [
-        f"verified {report.networks} network(s)",
-        f"{'clause'.ljust(width)}  status  pass/fail/skip",
-    ]
-    for c in report.clauses:
-        line = f"{c.name.ljust(width)}  {c.status:<6}  {c.passed}/{c.failed}/{c.skipped}"
-        if c.detail:
-            line += f"  {c.detail}"
-        human.append(line)
-    human.append("RESULT: " + ("all clauses hold" if report.ok else "FAILURES detected"))
-    _emit(args, payload, human)
+    if args.json:
+        print(_indented_json({
+            "networks": report.networks,
+            "clauses": [
+                {"name": c.name, "status": c.status, "pass": c.passed, "fail": c.failed,
+                 "skip": c.skipped, "detail": c.detail}
+                for c in report.clauses
+            ],
+            "ok": report.ok,
+        }))
+    else:
+        width = max(len(c.name) for c in report.clauses)
+        lines = [
+            f"verified {report.networks} network(s)",
+            f"{'clause'.ljust(width)}  status  pass/fail/skip",
+        ]
+        for c in report.clauses:
+            line = f"{c.name.ljust(width)}  {c.status:<6}  {c.passed}/{c.failed}/{c.skipped}"
+            if c.detail:
+                line += f"  {c.detail}"
+            lines.append(line)
+        lines.append("RESULT: " + ("all clauses hold" if report.ok else "FAILURES detected"))
+        print("\n".join(lines))
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import InputError
@@ -44,11 +45,12 @@ class NetworkDocument:
             pairs.add((pred, succ))
 
     def to_network(self) -> HierNet:
+        # Validation already ruled out self-loops and undeclared labels.
         index = {label: i for i, label in enumerate(self.labels)}
-        succ: list[set[int]] = [set() for _ in self.labels]
-        for pred, head in self.edges:
-            succ[index[pred]].add(index[head])
-        return HierNet(len(self.labels), succ)
+        masks = [0] * len(self.labels)
+        for pred, succ in self.edges:
+            masks[index[pred]] |= 1 << index[succ]
+        return HierNet._from_masks(len(masks), masks)
 
     @classmethod
     def from_network(cls, net: HierNet, labels: tuple[str, ...] | None = None) -> NetworkDocument:
@@ -94,8 +96,39 @@ def document_from_json(text: str) -> NetworkDocument:
 
 
 def document_to_json(doc: NetworkDocument) -> str:
-    payload = {"nodes": list(doc.labels), "edges": [list(e) for e in doc.edges]}
-    return json.dumps(payload, indent=2) + "\n"
+    return _indented_json({"nodes": doc.labels, "edges": doc.edges}) + "\n"
+
+
+# json's spellings of the floats that float.__repr__ writes as nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _indented_json(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, for str-keyed dicts, lists,
+    tuples, str, int, float, bool and None; other types raise TypeError.  json
+    indents in pure Python; this joins the strings its C encoders make."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        ends = "{}"
+        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
+                 for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        ends = "[]"  # str items, such as Core vertex entries, skip the recursive call
+        items = [encode_basestring_ascii(v) if type(v) is str else _indented_json(v, inner)
+                 for v in value]
+    elif value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    elif isinstance(value, float):
+        return _NON_FINITE.get(text := float.__repr__(value), text)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
 # --- edge-list format -----------------------------------------------------------
@@ -136,7 +169,10 @@ def document_from_edge_list(text: str) -> NetworkDocument:
             raise InputError("expected: <pred> <succ> or node <label>", location=where)
     if not labels:
         raise InputError("document declares no nodes")
-    return NetworkDocument(labels=tuple(labels), edges=tuple(edges))
+    doc = object.__new__(NetworkDocument)  # skips __post_init__: its checks were all made above
+    object.__setattr__(doc, "labels", tuple(labels))
+    object.__setattr__(doc, "edges", tuple(edges))
+    return doc
 
 
 def document_to_edge_list(doc: NetworkDocument) -> str:

@@ -250,13 +250,18 @@ def core_vertices(
     building the subnetworks.  Refuses up front when there are more than
     ``cap`` choices, like :func:`simple_subnetworks`.
     """
+    return tuple(Imputation._from_numerators(degrees, 1) for degrees in _vertex_degrees(net, cap))
+
+
+def _vertex_degrees(net: HierNet, cap: int) -> list[tuple[int, ...]]:
+    """The integer out-degree tuples behind :func:`core_vertices`, in its order."""
     seen = set()
     for picks in _predecessor_picks(net, cap):
         degrees = [0] * net.n
         for i, _ in picks:
             degrees[i] += 1
         seen.add(tuple(degrees))
-    return tuple(Imputation._from_numerators(degrees, 1) for degrees in sorted(seen))
+    return sorted(seen)
 
 
 def unique_simple_gauge(net: HierNet) -> Imputation:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hierpower
+import hierpower.cli
 import hierpower.games
 import hierpower.networks
 import hierpower.verification
@@ -109,6 +111,25 @@ class TestMeasure:
         assert (code, err) == (0, "")
         assert len(json.loads(out)["core_vertices"]) == 5
 
+    def test_text_builds_no_json_payload(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a JSON payload for a text query")
+
+        for name in ("_gauge_json", "_network_summary", "_indented_json"):
+            monkeypatch.setattr(hierpower.cli, name, refuse)
+        code, out, err = run(capsys, "measure", FIG1, "--all")
+        assert (code, err) == (0, "")
+        assert out.startswith("node  ")
+
+    def test_json_builds_no_text_rows(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("text rows for a --json query")
+
+        monkeypatch.setattr(hierpower.cli, "_measure_rows", refuse)
+        code, out, err = run(capsys, "measure", FIG1, "--all", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["measures"]["beta"]["1"]["exact"] == "1/2"
+
     def test_requires_a_measure_flag(self, capsys):
         code, _, err = run(capsys, "measure", FIG1)
         assert code == 2
@@ -154,6 +175,15 @@ class TestCore:
             ("2", "2", "0", "0", "0"),
             ("4", "0", "0", "0", "0"),
         }
+
+    def test_vertices_build_no_fractions(self, capsys, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        code, out, err = run(capsys, "core", FIG2, "--vertices", "--json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["core_vertices"]) == 5
 
     def test_simple_chain_single_vertex(self, capsys, tmp_path):
         path = tmp_path / "chain.txt"
@@ -304,6 +334,19 @@ class TestErrors:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == f"hierpower {hierpower.__version__}\n"
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        assert run(capsys, "classify", FIG1)[0] == 0
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "classify", FIG2)[0] == 0
+        assert built == []
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierpower import (
+    HierNet,
     InputError,
     NetworkDocument,
     document_from_edge_list,
@@ -13,6 +15,7 @@ from hierpower import (
     document_to_json,
     load_document,
 )
+from hierpower.documents import _indented_json
 from tests.conftest import fixture_path
 
 
@@ -109,6 +112,15 @@ class TestEdgeListFormat:
         with pytest.raises(InputError, match="no nodes"):
             document_from_edge_list("# nothing here\n")
 
+    def test_checks_each_document_once(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a second validation pass")
+
+        monkeypatch.setattr(NetworkDocument, "__post_init__", refuse)
+        doc = document_from_edge_list("node lonely\nA B\nB A\n")
+        assert doc.labels == ("lonely", "A", "B")
+        assert doc.edges == (("A", "B"), ("B", "A"))
+
 
 class TestLoadDocument:
     def test_json_and_edge_list_fixtures_agree(self):
@@ -177,8 +189,60 @@ class TestFuzz:
         except InputError:
             pass
 
+    @settings(max_examples=200)
+    @given(PARSER_TEXT)
+    def test_edge_list_documents_pass_full_validation(self, text):
+        try:
+            doc = document_from_edge_list(text)
+        except InputError:
+            return
+        assert NetworkDocument(labels=doc.labels, edges=doc.edges) == doc
+
     @settings(max_examples=100)
     @given(documents())
     def test_both_formats_round_trip(self, doc):
         assert document_from_edge_list(document_to_edge_list(doc)) == doc
         assert document_from_json(document_to_json(doc)) == doc
+
+    @settings(max_examples=100)
+    @given(documents())
+    def test_to_network_matches_the_validating_constructor(self, doc):
+        index = {label: i for i, label in enumerate(doc.labels)}
+        succ = [{index[b] for a, b in doc.edges if a == label} for label in doc.labels]
+        assert doc.to_network() == HierNet(len(doc.labels), succ)
+
+
+# Strings that exercise every escape: quotes, backslashes, control
+# characters and non-ASCII text, astral code points included.
+ESCAPED_TEXT = st.text(
+    alphabet=st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t aZ09\u00e9\u2028\u4e2d\U0001f600')
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=8,
+)
+JSON_LIKE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 2**64, -(10**40)])
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 1e300, -1e-300, 1.5, math.inf, -math.inf, math.nan])
+    | ESCAPED_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(ESCAPED_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestIndentedJson:
+    @settings(max_examples=200)
+    @given(JSON_LIKE)
+    def test_matches_the_stdlib_indent_encoder(self, value):
+        assert _indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"gauges": [frozenset()]}, object()])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _indented_json(value)
