@@ -47,10 +47,13 @@ class NetworkDocument:
     def to_network(self) -> HierNet:
         # Validation already ruled out self-loops and undeclared labels.
         index = {label: i for i, label in enumerate(self.labels)}
-        masks = [0] * len(self.labels)
+        succ_masks = [0] * len(index)
+        pred_masks = [0] * len(index)
         for pred, succ in self.edges:
-            masks[index[pred]] |= 1 << index[succ]
-        return HierNet._from_masks(len(masks), masks)
+            i, j = index[pred], index[succ]
+            succ_masks[i] |= 1 << j
+            pred_masks[j] |= 1 << i
+        return HierNet._from_masks(len(index), succ_masks, pred_masks)
 
     @classmethod
     def from_network(cls, net: HierNet, labels: tuple[str, ...] | None = None) -> NetworkDocument:
@@ -87,7 +90,7 @@ def document_from_json(text: str) -> NetworkDocument:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, str) for x in pair)
+            or not (isinstance(pair[0], str) and isinstance(pair[1], str))
         ):
             raise InputError("each edge must be a [pred, succ] pair of strings",
                              location=f"edges[{i}]")

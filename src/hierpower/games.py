@@ -46,6 +46,14 @@ class TUGame:
         self.n = n
         self.worths = table
 
+    @classmethod
+    def _from_table(cls, n: int, worths: list[Exact]) -> TUGame:
+        # Skips coercion and checks: callers build ``worths`` exactly, empty coalition 0.
+        game = cls.__new__(cls)
+        game.n = n
+        game.worths = tuple(worths)
+        return game
+
     def worth(self, h: Coalition) -> Exact:
         return self.worths[h]
 
@@ -115,7 +123,7 @@ def _count_game(
 ) -> TUGame:
     """Worth of a coalition: how many nodes ``reach`` assigns to it."""
     _check_player_cap(net.n, cap)
-    return TUGame(net.n, [reach(net, h).bit_count() for h in all_coalitions(net.n)])
+    return TUGame._from_table(net.n, [reach(net, h).bit_count() for h in all_coalitions(net.n)])
 
 
 def successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
@@ -150,7 +158,7 @@ def dual(v: TUGame) -> TUGame:
     """Dual game: what the complement cannot withhold.  An involution."""
     grand = v.grand_worth()
     full = v.grand_coalition
-    return TUGame(v.n, [grand - v.worths[full ^ h] for h in all_coalitions(v.n)])
+    return TUGame._from_table(v.n, [grand - v.worths[full ^ h] for h in all_coalitions(v.n)])
 
 
 def is_convex(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> bool:
@@ -222,19 +230,21 @@ def shapley_permutation(v: TUGame) -> Imputation:
 
     Averages each player's marginal contribution over all n! arrival
     orders.  Independent of the dividend route; kept as a permanent test
-    oracle.  Exact, so both routes must agree to the last digit.
+    oracle.  Exact, so both routes must agree to the last digit: the
+    marginals are summed as integer numerators and divided once.
     """
     n = v.n
-    totals = [Fraction(0)] * n
+    worths, unit = _common_denominator(v.worths)
+    totals = [0] * n
     count = 0
     for order in itertools.permutations(range(n)):
         mask = 0
         for i in order:
             grown = mask | 1 << i
-            totals[i] += v.worths[grown] - v.worths[mask]
+            totals[i] += worths[grown] - worths[mask]
             mask = grown
         count += 1
-    return Imputation(t / count for t in totals)
+    return Imputation._from_numerators(totals, count * unit)
 
 
 def marginal(v: TUGame, i: int) -> Exact:

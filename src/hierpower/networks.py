@@ -39,7 +39,8 @@ class HierNet:
             rows = [row for row in succ]
             if len(rows) != n:
                 raise ValueError(f"expected {n} successor rows, got {len(rows)}")
-        masks = []
+        succ_masks = []
+        pred_masks = [0] * n
         for i, row in enumerate(rows):
             mask = 0
             for j in row:
@@ -48,24 +49,21 @@ class HierNet:
                 if j == i:
                     raise ValueError(f"node {i} cannot be its own successor")
                 mask |= 1 << j
-            masks.append(mask)
-        self._set_masks(n, masks)
+                pred_masks[j] |= 1 << i
+            succ_masks.append(mask)
+        self._set_masks(n, succ_masks, pred_masks)
 
     @classmethod
-    def _from_masks(cls, n: int, masks: list[int]) -> HierNet:
-        # Skips validation: every caller derives ``masks`` from a valid net.
+    def _from_masks(cls, n: int, succ_masks: list[int], pred_masks: list[int]) -> HierNet:
+        # Skips validation: callers derive both lists, each the other's transpose.
         net = cls.__new__(cls)
-        net._set_masks(n, masks)
+        net._set_masks(n, succ_masks, pred_masks)
         return net
 
-    def _set_masks(self, n: int, masks: list[int]) -> None:
+    def _set_masks(self, n: int, succ_masks: list[int], pred_masks: list[int]) -> None:
         self.n = n
-        self._succ = tuple(masks)
-        pred = [0] * n
-        for i, mask in enumerate(masks):
-            for j in members(mask):
-                pred[j] |= 1 << i
-        self._pred = tuple(pred)
+        self._succ = tuple(succ_masks)
+        self._pred = tuple(pred_masks)
         self._parts = None
 
     @property
@@ -216,7 +214,8 @@ def classify(net: HierNet) -> NetworkClass:
 def principal_restriction(net: HierNet) -> HierNet:
     """Keep only edges into multi-predecessor nodes; idempotent."""
     multi = coalition(partition(net).multi_pred)
-    return HierNet._from_masks(net.n, [mask & multi for mask in net.succ_masks])
+    kept = [mask if multi >> j & 1 else 0 for j, mask in enumerate(net.pred_masks)]
+    return HierNet._from_masks(net.n, [mask & multi for mask in net.succ_masks], kept)
 
 
 def simple_subnetwork_count(net: HierNet) -> int:
@@ -255,7 +254,9 @@ def simple_subnetworks(
     Refuses upfront when the total count exceeds ``cap``.
     """
     for picks in _predecessor_picks(net, cap):
-        masks = [0] * net.n
+        succ_masks = [0] * net.n
+        pred_masks = [0] * net.n
         for i, j in picks:
-            masks[i] |= 1 << j
-        yield HierNet._from_masks(net.n, masks)
+            succ_masks[i] |= 1 << j
+            pred_masks[j] = 1 << i
+        yield HierNet._from_masks(net.n, succ_masks, pred_masks)

@@ -209,7 +209,30 @@ class TestFuzz:
     def test_to_network_matches_the_validating_constructor(self, doc):
         index = {label: i for i, label in enumerate(doc.labels)}
         succ = [{index[b] for a, b in doc.edges if a == label} for label in doc.labels]
-        assert doc.to_network() == HierNet(len(doc.labels), succ)
+        net, reference = doc.to_network(), HierNet(len(doc.labels), succ)
+        assert net == reference
+        assert net.pred_masks == reference.pred_masks
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(
+        st.lists(st.one_of(st.sampled_from(["A", "B"]), JSON_VALUES), min_size=2, max_size=2),
+        JSON_VALUES,
+    ), max_size=5))
+    def test_json_edge_check_matches_the_generator_check(self, raw_edges):
+        bad = [i for i, pair in enumerate(raw_edges)
+               if not isinstance(pair, list) or len(pair) != 2
+               or not all(isinstance(x, str) for x in pair)]
+        text = json.dumps({"nodes": ["A", "B"], "edges": raw_edges})
+        try:
+            document_from_json(text)
+            location, message = None, ""
+        except InputError as exc:
+            location, message = exc.location, str(exc)
+        if bad:
+            assert location == f"edges[{bad[0]}]"
+            assert message.endswith("each edge must be a [pred, succ] pair of strings")
+        else:
+            assert location is None
 
 
 # Strings that exercise every escape: quotes, backslashes, control

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -171,6 +172,14 @@ class TestSuccessorGames:
     def test_cap_refusal(self, fig1):
         with pytest.raises(CapExceededError):
             successor_game(fig1, cap=7)
+
+    @given(st.integers(min_value=0, max_value=40))
+    def test_tables_hold_ints_as_the_public_constructor_would(self, seed):
+        net = generate_random(5, F(1, 2), seed=seed)
+        for game in (successor_game(net), strong_successor_game(net)):
+            for table in (game, dual(game)):
+                assert all(type(w) is int for w in table.worths)
+                assert table == TUGame(net.n, list(table.worths))
 
     def test_partial_fig2(self, fig2):
         solo, contested = partial_games(fig2)
@@ -393,6 +402,31 @@ class TestShapley:
         assert tuple(shapley(successor_game(net))) == tuple(
             shapley(strong_successor_game(net))
         )
+
+    def test_permutation_oracle_adds_no_fractions(self, monkeypatch):
+        nets = [generate_random(n, p, seed=seed) for n in range(1, 7)
+                for p in (F(1, 4), F(1, 2), F(3, 4)) for seed in (1, 2)]
+
+        def refuse(self, other):
+            raise AssertionError("a Fraction addition")
+
+        monkeypatch.setattr(Fraction, "__add__", refuse)
+        monkeypatch.setattr(Fraction, "__radd__", refuse)
+        for net in nets:
+            for game in (successor_game(net), strong_successor_game(net)):
+                assert tuple(shapley_permutation(game)) == tuple(shapley(game))
+
+    @settings(max_examples=50)
+    @given(fraction_games())
+    def test_permutation_oracle_equals_a_fraction_average(self, game):
+        orders = list(itertools.permutations(range(game.n)))
+        totals = [F(0)] * game.n
+        for order in orders:
+            mask = 0
+            for i in order:
+                totals[i] += game.worths[mask | 1 << i] - game.worths[mask]
+                mask |= 1 << i
+        assert tuple(shapley_permutation(game)) == tuple(t / len(orders) for t in totals)
 
 
 # --- marginal contributions -----------------------------------------------------

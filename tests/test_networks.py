@@ -207,6 +207,7 @@ class TestPartition:
         for sub in (principal_restriction(net), *simple_subnetworks(net, cap=10_000)):
             fresh = HierNet(sub.n, [list(members(mask)) for mask in sub.succ_masks])
             assert partition(sub) == partition(fresh)
+            assert sub.pred_masks == fresh.pred_masks
 
 
 # --- classification -------------------------------------------------------------
