@@ -5,19 +5,22 @@ coalition partially controls, and of nodes it fully controls), generic
 game operations (dual, convexity, Harsanyi dividends, Shapley value),
 and the disruption-balancing value with its propensity diagnostics.
 All worths are exact rationals; no float ever enters a computation.
+Whole-table steps work on the 2**n table packed into one int.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Callable, Iterable
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coalitions import Coalition, all_coalitions, coalition, full_coalition, members
 from .errors import CapExceededError, EfficiencyError, NotRegularError
-from .networks import HierNet, partition, strong_successors, weak_successors
+from .networks import HierNet, partition
 from .rationals import Exact, _common_denominator, as_exact
 
 DEFAULT_PLAYER_CAP = 24
@@ -116,24 +119,47 @@ def additive_game(values: list[Exact] | tuple[Exact, ...]) -> TUGame:
     return TUGame(n, worths)
 
 
-# --- successor representations -------------------------------------------------
+# --- packed tables -------------------------------------------------------------
+# One int holds a table as a k-byte unsigned field per coalition: mask h owns
+# bytes k*h .. k*h + k - 1, little-endian.  A right shift by 8k * 2**i bits
+# puts t(S + i) in the field of every S without player i.  Whole-table sums
+# act field by field while every field's result stays in 0 .. 2**(8k) - 1.
 
-def _count_game(
-    net: HierNet, cap: int, reach: Callable[[HierNet, Coalition], Coalition]
-) -> TUGame:
-    """Worth of a coalition: how many nodes ``reach`` assigns to it."""
+def _pack(values: Iterable[int], k: int) -> int:
+    """Nonnegative ``values`` below 2**(8k) as k-byte fields, 4,096 at a time."""
+    rest, width, order = iter(values), itertools.repeat(k), itertools.repeat("little")
+    chunk = lambda: b"".join(map(int.to_bytes, itertools.islice(rest, 4096), width, order))
+    return int.from_bytes(b"".join(iter(chunk, b"")), "little")
+
+
+def _stripes(n: int, i: int, without: bytes, held: bytes) -> int:
+    """Packed table of field ``without`` where player ``i`` is out, ``held`` where in."""
+    return int.from_bytes((without * (1 << i) + held * (1 << i)) * (1 << n >> i + 1), "little")
+
+
+def _reach_game(net: HierNet, cap: int, nodes: Coalition, strong: bool) -> TUGame:
+    """How many of ``nodes`` each coalition reaches, one byte each: the sum over
+    the nodes of the OR (weak) or AND (strong) of "predecessor i is inside"."""
     _check_player_cap(net.n, cap)
-    return TUGame._from_table(net.n, [reach(net, h).bit_count() for h in all_coalitions(net.n)])
+    inside = [_stripes(net.n, i, b"\0", b"\1") for i in range(net.n)]
+    combine = operator.and_ if strong else operator.or_
+    table = sum(
+        functools.reduce(combine, map(inside.__getitem__, members(net.pred_masks[j])))
+        for j in members(nodes) if net.pred_masks[j]
+    )
+    return TUGame._from_table(net.n, table.to_bytes(1 << net.n, "little"))
 
+
+# --- successor representations -------------------------------------------------
 
 def successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
     """Worth of a coalition: how many nodes have a predecessor inside it."""
-    return _count_game(net, cap, weak_successors)
+    return _reach_game(net, cap, full_coalition(net.n), strong=False)
 
 
 def strong_successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
     """Worth of a coalition: how many nodes it fully controls."""
-    return _count_game(net, cap, strong_successors)
+    return _reach_game(net, cap, full_coalition(net.n), strong=True)
 
 
 def partial_games(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> tuple[TUGame, TUGame]:
@@ -144,12 +170,8 @@ def partial_games(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> tuple[TUGame, 
     successor game coalition-wise.
     """
     parts = partition(net)
-    single = coalition(parts.single_pred)
-    multi = coalition(parts.multi_pred)
-    return (
-        _count_game(net, cap, lambda g, h: weak_successors(g, h) & single),
-        _count_game(net, cap, lambda g, h: weak_successors(g, h) & multi),
-    )
+    halves = coalition(parts.single_pred), coalition(parts.multi_pred)
+    return tuple(_reach_game(net, cap, nodes, strong=False) for nodes in halves)
 
 
 # --- generic game operations ---------------------------------------------------
@@ -157,8 +179,8 @@ def partial_games(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> tuple[TUGame, 
 def dual(v: TUGame) -> TUGame:
     """Dual game: what the complement cannot withhold.  An involution."""
     grand = v.grand_worth()
-    full = v.grand_coalition
-    return TUGame._from_table(v.n, [grand - v.worths[full ^ h] for h in all_coalitions(v.n)])
+    # the complement of h is full ^ h == full - h: the table read backwards
+    return TUGame._from_table(v.n, [grand - w for w in v.worths[::-1]])
 
 
 def is_convex(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> bool:
@@ -175,23 +197,32 @@ def _second_differences_keep_sign(v: TUGame, sign: int, cap: int) -> bool:
     """True when ``sign * (v(S+i+j) - v(S+i) - v(S+j) + v(S)) >= 0`` for every
     coalition S and players i < j outside it.
 
-    This local test is equivalent to comparing ``v(S) + v(T)`` with
-    ``v(S | T) + v(S & T)`` over all coalition pairs (Shapley 1971), but
-    takes O(n^2 2^n) steps instead of O(4^n).  Stops at the first
-    quadruple of the wrong sign.
+    Equivalent to comparing ``v(S) + v(T)`` with ``v(S | T) + v(S & T)``
+    over all coalition pairs (Shapley 1971).  The worths over their common
+    denominator, less their minimum, fill fields of W = 8k >= bits(E) + 2
+    bits, E the largest entry.  Per pair, shifted copies hold the bias
+    2**(W-1) plus ``sign`` times the second difference in every field:
+    within 2E of the bias, so in range, with the top bit set exactly when
+    the difference is not negative.  One AND reads the coalitions without
+    i and j.  O(n^2) big-int operations on W * 2**n bits.
     """
     _check_player_cap(v.n, cap)
-    w = v.worths
-    players = [1 << i for i in range(v.n)]
-    for h in all_coalitions(v.n):
-        wh = w[h]
-        outside = [bit for bit in players if not h & bit]
-        for a, bit in enumerate(outside):
-            hi = h | bit
-            gain = w[hi] - wh
-            for other in outside[a + 1:]:
-                if sign * (w[hi | other] - w[h | other] - gain) < 0:
-                    return False
+    n = v.n
+    worths, _ = _common_denominator(v.worths)
+    low = min(worths)
+    k = ((max(worths) - low).bit_length() + 9) // 8  # ceil((bits(E) + 2) / 8)
+    table = _pack(map(operator.sub, worths, itertools.repeat(low)), k)
+    top = (1 << 8 * k - 1).to_bytes(k, "little")
+    bias = int.from_bytes(top * (1 << n), "little")
+    lacking = [_stripes(n, i, top, bytes(k)) for i in range(n)]
+    for i in range(n):
+        with_i = table >> (8 * k << i)  # field S holds t(S + i)
+        for j in range(i + 1, n):
+            with_j = table >> (8 * k << j)
+            signs = bias + sign * ((with_i >> (8 * k << j)) - with_i - with_j + table)
+            tested = lacking[i] & lacking[j]
+            if signs & tested != tested:
+                return False
     return True
 
 
@@ -199,16 +230,25 @@ def harsanyi_dividends(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> tuple[Exact,
     """Moebius inverse of the worth table, indexed by coalition mask.
 
     Reconstruction holds: the worth of any coalition is the sum of the
-    dividends of its subsets.
+    dividends of its subsets.  The worths over their common denominator
+    fill fields of W = 8k >= n + bits(max|w|) + 1 bits, offset by OFF =
+    2**(W-1).  Stage i sets D += OFF_i - ((D & CLEAR_i) << W * 2**i): each
+    coalition with player i less the one without.  Entries stay within
+    2**n * max|w| < OFF, so in range.  O(n) big-int operations on W * 2**n bits.
     """
     _check_player_cap(v.n, cap)
-    div = list(v.worths)
-    for i in range(v.n):
-        bit = 1 << i
-        for h in range(1 << v.n):
-            if h & bit:
-                div[h] -= div[h ^ bit]
-    return tuple(div)
+    n = v.n
+    worths, unit = _common_denominator(v.worths)
+    k = (n + max(map(abs, worths)).bit_length() + 8) // 8  # ceil((n + bits + 1) / 8)
+    off = 1 << 8 * k - 1
+    table = _pack(map(off.__add__, worths), k)
+    top, zero = off.to_bytes(k, "little"), bytes(k)
+    for i in range(n):
+        clear = _stripes(n, i, b"\xff" * k, zero)
+        table += _stripes(n, i, zero, top) - ((table & clear) << (8 * k << i))
+    fields = zip(*[iter(table.to_bytes(k << n, "little"))] * k)  # k bytes each, d + OFF
+    div = map(off.__rsub__, map(int.from_bytes, fields, itertools.repeat("little")))  # x - OFF
+    return tuple(div) if unit == 1 else tuple(Fraction(d, unit) for d in div)
 
 
 def shapley(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> Imputation:
@@ -267,13 +307,9 @@ def gately(v: TUGame) -> Imputation:
     totals coincide the surplus is zero and the stand-alone vector is
     forced.
     """
-    n = v.n
-    full = v.grand_coalition
-    singles = [v.worths[1 << i] for i in range(n)]
-    margins = [v.grand_worth() - v.worths[full ^ (1 << i)] for i in range(n)]
-    low = sum(singles)
-    high = sum(margins)
-    grand = v.grand_worth()
+    singles = [v.worths[1 << i] for i in range(v.n)]
+    margins = [marginal(v, i) for i in range(v.n)]
+    low, high, grand = sum(singles), sum(margins), v.grand_worth()
     if not (low <= grand <= high or high <= grand <= low):
         raise NotRegularError(
             "grand worth must lie between the stand-alone total and the "

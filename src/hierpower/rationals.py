@@ -45,5 +45,5 @@ def as_exact(value: object) -> int | Fraction:
 def _common_denominator(values: Sequence[Exact]) -> tuple[list[int], int]:
     """``(numerators, unit)``: each value times ``unit``, the lcm of their
     denominators, so that ``values[i] == numerators[i] / unit`` exactly."""
-    unit = math.lcm(*(v.denominator for v in values))
+    unit = math.lcm(*{v.denominator for v in values})
     return [v.numerator * (unit // v.denominator) for v in values], unit

@@ -125,6 +125,7 @@ class ClauseResult:
 class TheoremReport:
     net: HierNet
     clauses: tuple[ClauseResult, ...]
+    shapley_values: tuple[Imputation, ...] = ()  # of the two games, in their order
 
     @property
     def passed(self) -> bool:
@@ -154,10 +155,11 @@ def verify_theorems(
     xi = gately_measure(net)
     clauses: list[ClauseResult] = []
 
-    def record(name: str, ok: bool, detail_fail: str = "", detail_pass: str = "") -> None:
-        clauses.append(
-            ClauseResult(name, PASS if ok else FAIL, detail_pass if ok else detail_fail)
-        )
+    def record(name: str, ok: bool, detail_fail: str) -> None:
+        clauses.append(ClauseResult(name, PASS if ok else FAIL, "" if ok else detail_fail))
+
+    def skip(name: str, detail: str) -> None:
+        clauses.append(ClauseResult(name, SKIP, detail))
 
     record(
         "duality",
@@ -165,23 +167,22 @@ def verify_theorems(
         "dual of the successor game differs from the strong successor game",
     )
 
-    expected_dividends: dict[int, int] = {}
-    for j in sorted(parts.dominated):
-        mask = net.pred_masks[j]
-        expected_dividends[mask] = expected_dividends.get(mask, 0) + 1
-    dividends = harsanyi_dividends(strong, cap)
+    expected_dividends = [0] * (1 << net.n)  # per mask: the nodes with that predecessor set
+    for j in parts.dominated:
+        expected_dividends[net.pred_masks[j]] += 1
     record(
         "unanimity-decomposition",
-        all(d == expected_dividends.get(h, 0) for h, d in enumerate(dividends)),
+        harsanyi_dividends(strong, cap) == tuple(expected_dividends),
         "dividends of the strong successor game are not the predecessor-set multiset",
     )
 
     record("convexity", is_convex(strong, cap), "strong successor game is not convex")
     record("concavity", is_concave(weak, cap), "successor game is not concave")
 
+    values = shapley(weak, cap), shapley(strong, cap)
     record(
         "shapley-identity",
-        shapley(weak, cap) == beta and shapley(strong, cap) == beta,
+        values == (beta, beta),
         "Shapley values disagree with the closed-form equal-split measure",
     )
 
@@ -197,7 +198,7 @@ def verify_theorems(
             "out-degree gauge is not the unique Core gauge of a simple network",
         )
     else:
-        clauses.append(ClauseResult("simple-unique-core", SKIP, "not applicable (not simple)"))
+        skip("simple-unique-core", "not applicable (not simple)")
 
     record(
         "gately-identity",
@@ -220,11 +221,7 @@ def verify_theorems(
             "gauge leaves the Core although at most three nodes have successors",
         )
     else:
-        clauses.append(
-            ClauseResult(
-                "gately-core-small", SKIP, "not applicable (more than three nodes have successors)"
-            )
-        )
+        skip("gately-core-small", "not applicable (more than three nodes have successors)")
 
     if flags.weakly_regular:
         record(
@@ -239,25 +236,17 @@ def verify_theorems(
         )
     else:
         detail = "not applicable (not weakly regular)"
-        clauses.append(ClauseResult("gately-core-weakly-regular", SKIP, detail))
-        clauses.append(ClauseResult("gately-beta-weakly-regular", SKIP, detail))
+        skip("gately-core-weakly-regular", detail)
+        skip("gately-beta-weakly-regular", detail)
 
     if xi_core:
         clauses.append(ClauseResult("gately-core", PASS, "gauge satisfies every Core constraint"))
     elif active > 3 and not flags.weakly_regular:
-        clauses.append(
-            ClauseResult(
-                "gately-core",
-                SKIP,
-                "fails, as permitted (conditions of the Core theorem not met)",
-            )
-        )
+        skip("gately-core", "fails, as permitted (conditions of the Core theorem not met)")
     else:
-        clauses.append(
-            ClauseResult("gately-core", FAIL, "gauge leaves the Core despite a covering condition")
-        )
+        record("gately-core", False, "gauge leaves the Core despite a covering condition")
 
-    return TheoremReport(net=net, clauses=tuple(clauses))
+    return TheoremReport(net=net, clauses=tuple(clauses), shapley_values=values)
 
 
 def _propensities_balanced(weak, x: Imputation, parts) -> bool:
@@ -313,7 +302,8 @@ def verify_networks(
     ``sources`` names each network in first-failure details.  With a
     single network, each clause keeps its own detail instead.  Each
     network's two successor games are built once and serve both the
-    clauses and the oracle.
+    clauses and the oracle, which checks the Shapley values the clauses
+    computed.
     """
     counts: dict[str, dict[str, int]] = {}
     details: dict[str, str] = {}
@@ -321,14 +311,15 @@ def verify_networks(
     oracle: bool | None = None  # None until a network is small enough for it
     for net, source in zip(nets, sources, strict=True):
         games = successor_game(net, cap), strong_successor_game(net, cap)
-        for clause in verify_theorems(net, games, cap).clauses:
+        report = verify_theorems(net, games, cap)
+        for clause in report.clauses:
             counts.setdefault(clause.name, {PASS: 0, FAIL: 0, SKIP: 0})[clause.status] += 1
             if clause.status == FAIL:
                 first_fail.setdefault(clause.name, f"first failure on {source}: {clause.detail}")
             if len(nets) == 1:
                 details[clause.name] = clause.detail
         if net.n <= 6 and oracle is not False:  # the oracle averages n! orderings
-            oracle = shapley_oracle_agrees(games, cap)
+            oracle = report.shapley_values == tuple(map(shapley_permutation, games))
 
     axioms = check_axioms(gately_measure, nets)
     for name, ok in (

@@ -25,12 +25,15 @@ from hierpower import (
     is_convex,
     marginal,
     partial_games,
+    partition,
     propensity_to_disrupt,
     shapley,
     shapley_permutation,
     strong_successor_game,
+    strong_successors,
     successor_game,
     unanimity_game,
+    weak_successors,
 )
 from hierpower.errors import CapExceededError
 from hierpower.games import coalition_payoffs
@@ -173,6 +176,27 @@ class TestSuccessorGames:
         with pytest.raises(CapExceededError):
             successor_game(fig1, cap=7)
 
+    def test_tables_count_the_reach_sets(self):
+        # Every entry against the reach sets of the definitions, coalition by
+        # coalition, from one node to 1,024 coalitions, edgeless nets included.
+        for n in range(1, 11):
+            for p in (F(0), F(1, 4), F(1, 2), F(1)):
+                net = generate_random(n, p, seed=31 * n + p.numerator)
+                weak, strong = successor_game(net), strong_successor_game(net)
+                for h in range(1 << n):
+                    assert weak.worths[h] == weak_successors(net, h).bit_count()
+                    assert strong.worths[h] == strong_successors(net, h).bit_count()
+
+    def test_partial_games_count_the_reach_sets(self):
+        for seed in range(12):
+            net = generate_random(6, F(1, 3), seed=seed)
+            single = coalition(partition(net).single_pred)
+            solo, contested = partial_games(net)
+            for h in range(1 << net.n):
+                reached = weak_successors(net, h)
+                assert solo.worths[h] == (reached & single).bit_count()
+                assert contested.worths[h] == (reached & ~single).bit_count()
+
     @given(st.integers(min_value=0, max_value=40))
     def test_tables_hold_ints_as_the_public_constructor_would(self, seed):
         net = generate_random(5, F(1, 2), seed=seed)
@@ -258,6 +282,16 @@ class TestShape:
         assert is_convex(v)
         assert is_concave(v)
 
+    @pytest.mark.parametrize("scale", [1, 2 ** 40 + 1])
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_tables_past_one_pack_chunk(self, n, scale):
+        # 4,096 to 16,384 coalitions, packed 4,096 at a time: the only nonzero
+        # second differences sit at the top of the table, in the last chunk.
+        v = TUGame(n, [scale * w for w in unanimity_game(n, (1 << n) - 1).worths])
+        assert (is_convex(v), is_concave(v)) == (True, False)
+        negated = TUGame(n, [-w for w in v.worths])
+        assert (is_convex(negated), is_concave(negated)) == (False, True)
+
     @given(st.integers(min_value=0, max_value=60))
     def test_shapes_on_random_networks(self, seed):
         net = generate_random(5, F(3, 4), seed=seed)
@@ -287,6 +321,23 @@ def dividend_games(draw) -> TUGame:
     div = [F(0)] + [draw(dividend) for _ in range((1 << n) - 1)]
     worths = [sum((div[t] for t in range(h + 1) if t & h == t), F(0)) for h in range(1 << n)]
     return TUGame(n, worths)
+
+
+def wide_games() -> list[TUGame]:
+    """Signed unanimity sums, scaled, shifted by large additive games, or
+    spread over large denominators."""
+    rng = random.Random(4096)
+    games = []
+    for scale in (1, 257, -(2 ** 8) - 1, 2 ** 40 + 3, -(2 ** 41), 2 ** 70 + 1,
+                  F(1, 10 ** 12 + 39), F(-(2 ** 50), 999_999_937)):
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            base = signed_unanimity_sum(rng, n)
+            shift = additive_game([rng.randint(-(2 ** 45), 2 ** 45) for _ in range(n)])
+            games.append(TUGame(n, [w * scale for w in base.worths]))
+            games.append(TUGame(n, [w * scale + a for w, a in zip(base.worths, shift.worths)]))
+        games.append(additive_game([scale, -scale]))
+    return games
 
 
 class TestShapeMatchesPairScan:
@@ -325,6 +376,25 @@ class TestShapeMatchesPairScan:
     def test_fraction_tables(self, game):
         self.assert_same_verdicts(game)
 
+    @pytest.mark.parametrize("scale", [1, -1, 2 ** 8, -(2 ** 24), 2 ** 56])
+    @pytest.mark.parametrize("worths", [[0, 84, 117, 7], [0, 42, 58, 3]])
+    def test_second_difference_near_twice_the_largest_entry(self, worths, scale):
+        # Entries just under 2^7 (or 2^6) times |scale|, and a second
+        # difference of -194 (or -97) times scale: the field needs a bias bit
+        # and a sign bit above the entries, at every field width.
+        game = TUGame(2, [w * scale for w in worths])
+        expected = (False, True) if scale > 0 else (True, False)
+        assert self.assert_same_verdicts(game) == expected
+
+    def test_wide_fields(self):
+        # Worths past one byte, past 2^40 and past 2^64, negative ones, and
+        # Fractions over large denominators all need fields wider than a
+        # byte; a huge additive part leaves the second differences small.
+        verdicts = set()
+        for game in wide_games():
+            verdicts.add(self.assert_same_verdicts(game))
+        assert verdicts == {(True, False), (False, True), (False, False), (True, True)}
+
 
 # --- dividends and Shapley ------------------------------------------------------
 
@@ -339,6 +409,44 @@ class TestDividends:
     def test_matches_oracle_on_sample_games(self):
         for game in sample_games():
             assert list(harsanyi_dividends(game)) == moebius_oracle(game)
+
+    def test_matches_oracle_on_wide_fields(self):
+        for game in wide_games():
+            assert list(harsanyi_dividends(game)) == moebius_oracle(game)
+
+    @pytest.mark.parametrize("n, bits", [(4, 4), (4, 12), (6, 26), (6, 58), (3, 61)])
+    def test_dividends_at_the_width_bound(self, n, bits):
+        # Worths +-(2^bits - 1) alternating with coalition size: the grand
+        # coalition's dividend is (2^n - 1) times the largest worth, past what
+        # a field of n + bits bits holds.
+        top = (1 << bits) - 1
+        for sign in (1, -1):
+            game = TUGame(n, [0] + [sign * top * (-1) ** h.bit_count() for h in range(1, 1 << n)])
+            div = harsanyi_dividends(game)
+            assert list(div) == moebius_oracle(game)
+            assert abs(div[-1]) == ((1 << n) - 1) * top
+
+    def test_int_tables_give_ints(self):
+        div = harsanyi_dividends(TUGame(2, [0, -(2 ** 70), 3, 2 ** 80]))
+        assert div == (0, -(2 ** 70), 3, 2 ** 80 + 2 ** 70 - 3)
+        assert all(type(d) is int for d in div)
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_dividends_past_one_pack_chunk(self, n):
+        # Unanimity games on carriers across the table plus an additive part,
+        # over 4,096 to 16,384 coalitions packed 4,096 at a time.
+        full = (1 << n) - 1
+        weights = {full: 7, full ^ 1: -3, 0b1011 << n - 4: 2 ** 33, 0b110: -1}
+        singles = [(-1) ** i * i for i in range(n)]
+        worths = [
+            sum(c for t, c in weights.items() if h & t == t)
+            + sum(singles[i] for i in range(n) if h >> i & 1)
+            for h in range(1 << n)
+        ]
+        expected = [weights.get(h, 0) for h in range(1 << n)]
+        for i, a in enumerate(singles):
+            expected[1 << i] += a
+        assert list(harsanyi_dividends(TUGame(n, worths))) == expected
 
     def test_additive_game_supported_on_singletons(self):
         div = harsanyi_dividends(additive_game([2, -3, F(1, 2)]))
@@ -468,6 +576,18 @@ class TestGately:
         worths = [0, 0, 0, 10, 0, 10, 10, 12]
         with pytest.raises(NotRegularError):
             gately(TUGame(3, worths))
+
+    @pytest.mark.parametrize("pairs, grand, expected", [
+        (-1, 0, (0, 0, 0)),  # grand worth = stand-alone total 0, marginal total 3
+        (2, 3, (1, 1, 1)),  # grand worth = marginal total 3, stand-alone total 0
+        (1, 0, (0, 0, 0)),  # cost reading: grand = stand-alone 0, marginal -3
+        (-2, -3, (-1, -1, -1)),  # cost reading: grand = marginal total -3
+    ])
+    def test_grand_worth_on_either_bound(self, pairs, grand, expected):
+        # Singles worth 0, each pair worth ``pairs``: the grand worth sits
+        # exactly on one end of the regular range, which is allowed.
+        game = TUGame(3, [0, 0, 0, pairs, 0, pairs, pairs, grand])
+        assert gately(game) == expected
 
     def test_output_is_efficient_whenever_defined(self):
         defined = 0

@@ -12,12 +12,15 @@ from hierpower import (
     generate_random,
     proportional_measure,
     restricted_egalitarian,
+    shapley,
     shapley_oracle_agrees,
     strong_successor_game,
     successor_game,
+    verify_networks,
     verify_theorems,
 )
-from hierpower.verification import PASS, SKIP
+from hierpower import verification
+from hierpower.verification import FAIL, PASS, SKIP
 
 F = Fraction
 
@@ -129,3 +132,26 @@ class TestShapleyOracle:
         for k in range(10):
             net = generate_random(5, F(1, 2), seed=8000 + k)
             assert shapley_oracle_agrees(both_games(net))
+
+    def test_report_carries_both_shapley_values(self, fig1):
+        weak, strong = both_games(fig1)
+        report = verify_theorems(fig1, (weak, strong))
+        assert report.shapley_values == (shapley(weak), shapley(strong))
+
+    def test_verify_computes_each_shapley_value_once(self, monkeypatch):
+        computed = []
+
+        def counting(game, cap):
+            computed.append(game)
+            return shapley(game, cap)
+
+        monkeypatch.setattr(verification, "shapley", counting)
+        nets = [generate_random(5, F(1, 2), seed=8100 + k) for k in range(3)]
+        report = verify_networks(nets, ["a", "b", "c"])
+        assert len(computed) == 2 * len(nets)
+        assert {c.name: c.status for c in report.clauses}["shapley-oracle"] == PASS
+
+    def test_oracle_disagreement_fails(self, monkeypatch):
+        monkeypatch.setattr(verification, "shapley_permutation", lambda game: ())
+        report = verify_networks([generate_random(4, F(1, 2), seed=3)], ["a"])
+        assert {c.name: c.status for c in report.clauses}["shapley-oracle"] == FAIL
