@@ -266,25 +266,25 @@ def shapley(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> Imputation:
 
 
 def shapley_permutation(v: TUGame) -> Imputation:
-    """Permutation-average oracle for the Shapley value.
+    """Shapley value by the weighted-marginal formula (Shapley 1953): a test
+    oracle for ``shapley`` that reads the worths, never the dividends.
 
-    Averages each player's marginal contribution over all n! arrival
-    orders.  Independent of the dividend route; kept as a permanent test
-    oracle.  Exact, so both routes must agree to the last digit: the
-    marginals are summed as integer numerators and divided once.
+    Player i follows S in b(|S|) = |S|!(n-|S|-1)! of the n! orders, so
+    n!·φ_i = Σ_{T∋i} (b(|T|-1) + b(|T|))·v(T) − Σ_T b(|T|)·v(T), b = 0 off
+    0..n-1: n halvings of the table, O(2^n) integer additions, one division.
     """
     n = v.n
     worths, unit = _common_denominator(v.worths)
+    after = [math.factorial(s) * math.factorial(n - s - 1) for s in range(n)] + [0]  # b
+    sizes = list(map(int.bit_count, range(1 << n)))
+    rest = sum(map(operator.mul, map(after.__getitem__, sizes), worths))
+    weight = list(map(operator.add, [0, *after], after))  # b(s - 1) + b(s)
+    table = list(map(operator.mul, map(weight.__getitem__, sizes), worths))
     totals = [0] * n
-    count = 0
-    for order in itertools.permutations(range(n)):
-        mask = 0
-        for i in order:
-            grown = mask | 1 << i
-            totals[i] += worths[grown] - worths[mask]
-            mask = grown
-        count += 1
-    return Imputation._from_numerators(totals, count * unit)
+    for i in reversed(range(n)):  # table[h] sums the masks that agree with h below bit i + 1
+        totals[i] = sum(table[1 << i:]) - rest
+        table = list(map(operator.add, table[:1 << i], table[1 << i:]))
+    return Imputation._from_numerators(totals, math.factorial(n) * unit)
 
 
 def marginal(v: TUGame, i: int) -> Exact:

@@ -10,6 +10,7 @@ common denominator; a ``Fraction`` is built once per entry, at the output.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Sequence
@@ -45,5 +46,7 @@ def as_exact(value: object) -> int | Fraction:
 def _common_denominator(values: Sequence[Exact]) -> tuple[list[int], int]:
     """``(numerators, unit)``: each value times ``unit``, the lcm of their
     denominators, so that ``values[i] == numerators[i] / unit`` exactly."""
+    if all(map(isinstance, values, itertools.repeat(int))):
+        return list(values), 1
     unit = math.lcm(*{v.denominator for v in values})
     return [v.numerator * (unit // v.denominator) for v in values], unit

@@ -8,7 +8,7 @@ representations, the unanimity decomposition, convexity/concavity, the
 Shapley and disruption-value identities, Core membership conditions and
 the propensity balance.  Clauses whose hypothesis fails are reported as
 skipped, never as failures.  ``verify_networks`` tallies all of these,
-plus the Shapley permutation oracle, over a network family.
+plus the weighted-marginal Shapley oracle, over a network family.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ def verify_networks(
                 first_fail.setdefault(clause.name, f"first failure on {source}: {clause.detail}")
             if len(nets) == 1:
                 details[clause.name] = clause.detail
-        if net.n <= 6 and oracle is not False:  # the oracle averages n! orderings
+        if net.n <= 6 and oracle is not False:  # the report's oracle row covers n <= 6
             oracle = report.shapley_values == tuple(map(shapley_permutation, games))
 
     axioms = check_axioms(gately_measure, nets)

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -35,10 +34,12 @@ from hierpower import (
     unanimity_game,
     weak_successors,
 )
+from hierpower import games as games_module
 from hierpower.errors import CapExceededError
 from hierpower.games import coalition_payoffs
 from tests.oracles.convexity import is_concave_pairs, is_convex_pairs
 from tests.oracles.core import first_deficient_coalition, subset_payoffs
+from tests.oracles.shapley import shapley_by_orders
 
 F = Fraction
 
@@ -121,6 +122,17 @@ def small_games(draw) -> TUGame:
         draw(st.integers(min_value=-5, max_value=5)) for _ in range((1 << n) - 1)
     ]
     return TUGame(n, worths)
+
+
+@st.composite
+def oracle_games(draw) -> TUGame:
+    """Int or Fraction worths for up to seven players, the walk oracle's reach."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    entries = draw(st.sampled_from([
+        st.integers(min_value=-50, max_value=50),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    ]))
+    return TUGame(n, [0] + [draw(entries) for _ in range((1 << n) - 1)])
 
 
 # --- construction ---------------------------------------------------------------
@@ -524,17 +536,33 @@ class TestShapley:
             for game in (successor_game(net), strong_successor_game(net)):
                 assert tuple(shapley_permutation(game)) == tuple(shapley(game))
 
-    @settings(max_examples=50)
-    @given(fraction_games())
+    @settings(max_examples=50, deadline=None)
+    @given(oracle_games())
     def test_permutation_oracle_equals_a_fraction_average(self, game):
-        orders = list(itertools.permutations(range(game.n)))
-        totals = [F(0)] * game.n
-        for order in orders:
-            mask = 0
-            for i in order:
-                totals[i] += game.worths[mask | 1 << i] - game.worths[mask]
-                mask |= 1 << i
-        assert tuple(shapley_permutation(game)) == tuple(t / len(orders) for t in totals)
+        assert tuple(shapley_permutation(game)) == shapley_by_orders(game)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_weighted_marginals_equal_the_order_walk_at_each_size(self, n):
+        rng = random.Random(n)
+        entries = (lambda: rng.randint(-(2 ** 40), 2 ** 40),
+                   lambda: F(rng.randint(-99, 99), rng.randint(1, 30)))
+        games = [TUGame(n, [0] + [draw() for _ in range((1 << n) - 1)]) for draw in entries]
+        if n:
+            net = generate_random(n, F(1, 2), seed=n)
+            games += [successor_game(net), strong_successor_game(net)]
+        for game in games:
+            assert tuple(shapley_permutation(game)) == shapley_by_orders(game)
+
+    def test_permutation_oracle_reads_no_dividends(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle took the dividend route")
+
+        games = [*sample_games(), TUGame(7, [0] + [h % 11 - 5 for h in range(1, 128)])]
+        cases = [(game, shapley_by_orders(game)) for game in games]
+        monkeypatch.setattr(games_module, "harsanyi_dividends", refuse)
+        monkeypatch.setattr(games_module, "shapley", refuse)
+        for game, expected in cases:
+            assert tuple(shapley_permutation(game)) == expected
 
 
 # --- marginal contributions -----------------------------------------------------
