@@ -52,6 +52,11 @@ MEASURES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def cap(text: str) -> int:  # argparse reports a non-int as "invalid cap value"
+        if (value := int(text)) < 0:
+            raise argparse.ArgumentTypeError(f"a cap cannot be negative, got {value}")
+        return value
+
     parser = argparse.ArgumentParser(
         prog="hierpower",
         description="Power measures and Core diagnostics for directed hierarchical networks.",
@@ -60,11 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON result document")
     common.add_argument(
-        "--cap", type=int, default=DEFAULT_PLAYER_CAP,
+        "--cap", type=cap, default=DEFAULT_PLAYER_CAP,
         help="largest node count for coalition enumeration (default %(default)s)",
     )
     common.add_argument(
-        "--subnetwork-cap", type=int, default=DEFAULT_SUBNETWORK_CAP,
+        "--subnetwork-cap", type=cap, default=DEFAULT_SUBNETWORK_CAP,
         help="largest simple-subnetwork count to enumerate (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,10 +126,33 @@ def additive_game(values: list[Exact] | tuple[Exact, ...]) -> TUGame:
 # act field by field while every field's result stays in 0 .. 2**(8k) - 1.
 
 def _pack(values: Iterable[int], k: int) -> int:
-    """Nonnegative ``values`` below 2**(8k) as k-byte fields, 4,096 at a time."""
-    rest, width, order = iter(values), itertools.repeat(k), itertools.repeat("little")
-    chunk = lambda: b"".join(map(int.to_bytes, itertools.islice(rest, 4096), width, order))
-    return int.from_bytes(b"".join(iter(chunk, b"")), "little")
+    """Nonnegative ``values`` below 2**(8k) as k-byte fields, 4,096 at a time, one
+    slice per byte plane up to the first plane that holds every value left."""
+    rest, packed = iter(values), bytearray()
+    while chunk := list(itertools.islice(rest, 4096)):
+        fields = bytearray(k * len(chunk))
+        for b in range(k):
+            try:  # a table of counts takes one ``bytes`` call at any k
+                fields[b::k] = bytes(chunk)
+                break
+            except ValueError:  # some value is 256 or more: its low byte, then the rest
+                fields[b::k] = bytes(map(operator.and_, chunk, itertools.repeat(255)))
+                chunk = list(map(operator.rshift, chunk, itertools.repeat(8)))
+        packed += fields
+    return int.from_bytes(packed, "little")
+
+
+def _unpack(table: int, k: int, count: int, off: int) -> Iterator[Iterable[int]]:
+    """The ``count`` k-byte fields of ``table``, each less ``off``, a multiple of
+    256**(k-1), in blocks of 4,096: the top byte plane less off / 256**(k-1),
+    then for each lower plane b, 256 times the value so far plus byte b."""
+    raw, eight = table.to_bytes(k * count, "little"), itertools.repeat(8)
+    for start in range(0, len(raw), k << 12):
+        chunk = raw[start:start + (k << 12)]
+        values = map(operator.sub, chunk[k - 1::k], itertools.repeat(off >> 8 * k - 8))
+        for b in reversed(range(k - 1)):
+            values = list(map(operator.add, map(operator.lshift, values, eight), chunk[b::k]))
+        yield values
 
 
 def _stripes(n: int, i: int, without: bytes, held: bytes) -> int:
@@ -239,22 +262,24 @@ def harsanyi_dividends(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> tuple[Exact,
     _check_player_cap(v.n, cap)
     n = v.n
     worths, unit = _common_denominator(v.worths)
-    k = (n + max(map(abs, worths)).bit_length() + 8) // 8  # ceil((n + bits + 1) / 8)
+    low, high = min(worths), max(worths)
+    k = (n + max(high, -low).bit_length() + 8) // 8  # ceil((n + bits + 1) / 8)
     off = 1 << 8 * k - 1
-    table = _pack(map(off.__add__, worths), k)
-    top, zero = off.to_bytes(k, "little"), bytes(k)
+    top, zero, base = off.to_bytes(k, "little"), bytes(k), (off + low).to_bytes(k, "little")
+    table = _stripes(n, 0, base, base) + _pack(map(operator.sub, worths, itertools.repeat(low)), k)
     for i in range(n):
         clear = _stripes(n, i, b"\xff" * k, zero)
         table += _stripes(n, i, zero, top) - ((table & clear) << (8 * k << i))
-    fields = zip(*[iter(table.to_bytes(k << n, "little"))] * k)  # k bytes each, d + OFF
-    div = map(off.__rsub__, map(int.from_bytes, fields, itertools.repeat("little")))  # x - OFF
+    div = itertools.chain.from_iterable(_unpack(table, k, 1 << n, off))  # fields hold d + OFF
     return tuple(div) if unit == 1 else tuple(Fraction(d, unit) for d in div)
 
 
-def shapley(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> Imputation:
-    """Shapley value via Harsanyi dividends: each coalition's dividend is
-    split evenly among its members."""
-    div, unit = _common_denominator(harsanyi_dividends(v, cap))
+def shapley(
+    v: TUGame, cap: int = DEFAULT_PLAYER_CAP, dividends: tuple[Exact, ...] | None = None
+) -> Imputation:
+    """Shapley value via Harsanyi dividends (``harsanyi_dividends(v)``, unless
+    given): each coalition's dividend is split evenly among its members."""
+    div, unit = _common_denominator(harsanyi_dividends(v, cap) if dividends is None else dividends)
     sizes = math.lcm(*range(1, v.n + 1))  # every coalition size divides it
     out = [0] * v.n
     for h, d in enumerate(div):

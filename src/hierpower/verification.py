@@ -144,7 +144,8 @@ def verify_theorems(
     ``(successor_game(net), strong_successor_game(net))``.  A pair over
     another player count is refused; any other pair not built from
     ``net`` fails the duality or the unanimity-decomposition clause,
-    which between them pin both games to ``net``.
+    which between them pin both games to ``net``.  The strong game's
+    dividends, inverted from its table, serve that clause and its Shapley value.
     """
     weak, strong = games
     if weak.n != net.n or strong.n != net.n:
@@ -170,16 +171,18 @@ def verify_theorems(
     expected_dividends = [0] * (1 << net.n)  # per mask: the nodes with that predecessor set
     for j in parts.dominated:
         expected_dividends[net.pred_masks[j]] += 1
+    dividends = harsanyi_dividends(strong, cap)  # from the table; Shapley reads them too
     record(
         "unanimity-decomposition",
-        harsanyi_dividends(strong, cap) == tuple(expected_dividends),
+        dividends == tuple(expected_dividends),
         "dividends of the strong successor game are not the predecessor-set multiset",
     )
+    values = shapley(weak, cap), shapley(strong, cap, dividends)
+    del dividends  # 2**n entries: not held through the convexity and Core scans
 
     record("convexity", is_convex(strong, cap), "strong successor game is not convex")
     record("concavity", is_concave(weak, cap), "successor game is not concave")
 
-    values = shapley(weak, cap), shapley(strong, cap)
     record(
         "shapley-identity",
         values == (beta, beta),
@@ -303,7 +306,8 @@ def verify_networks(
     single network, each clause keeps its own detail instead.  Each
     network's two successor games are built once and serve both the
     clauses and the oracle, which checks the Shapley values the clauses
-    computed.
+    computed: two Moebius inversions per network, the strong game's for
+    both the unanimity clause and its Shapley value.
     """
     counts: dict[str, dict[str, int]] = {}
     details: dict[str, str] = {}

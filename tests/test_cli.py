@@ -348,6 +348,23 @@ class TestErrors:
         assert run(capsys, "classify", FIG2)[0] == 0
         assert built == []
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--random", "1", "--nodes", "3", "--cap", "-1"),
+        ("core", FIG1, "--vertices", "--subnetwork-cap", "-1"),
+        ("core", FIG1, "--check", "beta", "--cap", "-1"),
+    ])
+    def test_negative_cap_refused_at_parse_time(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        flag = argv[-2]
+        assert f"argument {flag}: a cap cannot be negative, got -1" in capsys.readouterr().err
+
+    def test_zero_cap_is_a_cap(self, capsys):
+        code, _, err = run(capsys, "verify", "--random", "1", "--nodes", "3", "--cap", "0")
+        assert code == 3
+        assert "exceeds the cap of 0" in err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

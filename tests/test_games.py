@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -240,6 +241,78 @@ class TestSuccessorGames:
         singles = [solo.worth(1 << i) for i in range(net.n)]
         for h in range(1 << net.n):
             assert solo.worth(h) == sum(singles[i] for i in range(net.n) if h >> i & 1)
+
+
+# --- packed tables --------------------------------------------------------------
+
+def boundary_fields(k: int, length: int) -> list[int]:
+    """0, 255, 256 and 2**(8k) - 1 in turn (those that fit k bytes), except
+    in every second block of 4,096 fields, which holds only 0 and 255."""
+    wide = [v for v in (0, 255, 256, (1 << 8 * k) - 1) if v < 1 << 8 * k]
+    return [(0, 255)[i % 2] if i >> 12 & 1 else wide[i % len(wide)] for i in range(length)]
+
+
+def unpacked(table: int, k: int, count: int, off: int = 0) -> list[int]:
+    """The fields of ``table`` less ``off``, as one list."""
+    return list(itertools.chain.from_iterable(games_module._unpack(table, k, count, off)))
+
+
+class TestPackedFields:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_single_field_round_trip(self, k):
+        for value in (0, 255, 256, (1 << 8 * k) - 1):
+            if value < 1 << 8 * k:
+                table = games_module._pack([value], k)
+                assert table == value
+                assert unpacked(table, k, 1) == [value]
+
+    @pytest.mark.parametrize("length", [1 << 12, (1 << 12) + 1, (1 << 13) + 1, 1 << 14])
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_round_trip_across_blocks(self, k, length):
+        # Blocks of wide values (k byte planes) alternate with blocks that the
+        # first plane holds whole, so each block takes its own exit.
+        values = boundary_fields(k, length)
+        table = games_module._pack(values, k)
+        assert table == int.from_bytes(b"".join(v.to_bytes(k, "little") for v in values), "little")
+        assert unpacked(table, k, length) == values
+        off = 1 << 8 * k - 1
+        assert unpacked(table, k, length, off) == [v - off for v in values]
+
+
+def straddling_games() -> list[TUGame]:
+    """Integer tables whose entries, less their minimum, lie either all below
+    256 or on both sides of 255/256: one-byte-plane and multi-plane packs."""
+    rng = random.Random(255)
+    games = []
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        singles = additive_game([rng.choice((1, 64, 85, 127, 128)) for _ in range(n)])
+        carriers = {rng.randrange(1, 1 << n): rng.choice((-2, -1, 1, 2, 129)) for _ in range(3)}
+        games.append(TUGame(n, [
+            w + sum(c for t, c in carriers.items() if h & t == t)
+            for h, w in enumerate(singles.worths)
+        ]))
+        entries = [rng.choice((1, 254, 255, 256, 257)) for _ in range(1, 1 << n)]
+        games.append(TUGame(n, [0, *entries]))
+    return games
+
+
+class TestStraddlingTables:
+    def test_both_pack_paths_occur(self):
+        spans = {max(g.worths) - min(g.worths) >= 256 for g in straddling_games()}
+        assert spans == {True, False}
+
+    def test_dividends_match_the_moebius_oracle(self):
+        for game in straddling_games():
+            assert list(harsanyi_dividends(game)) == moebius_oracle(game)
+
+    def test_shapes_match_the_pair_scan(self):
+        verdicts = set()
+        for game in straddling_games():
+            verdict = is_convex(game), is_concave(game)
+            assert verdict == (is_convex_pairs(game), is_concave_pairs(game))
+            verdicts.add(verdict)
+        assert verdicts == {(True, False), (False, True), (False, False), (True, True)}
 
 
 # --- dual -----------------------------------------------------------------------
@@ -510,6 +583,19 @@ class TestShapley:
     @given(small_games())
     def test_matches_permutation_oracle(self, game):
         assert tuple(shapley(game)) == tuple(shapley_permutation(game))
+
+    def test_given_dividends_are_not_recomputed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("shapley recomputed the dividends it was given")
+
+        games = wide_games()
+        for seed in (1, 2, 3):
+            net = generate_random(7, F(1, 2), seed=seed)
+            games += [successor_game(net), strong_successor_game(net)]
+        cases = [(game, harsanyi_dividends(game), shapley(game)) for game in games]
+        monkeypatch.setattr(games_module, "harsanyi_dividends", refuse)
+        for game, dividends, expected in cases:
+            assert shapley(game, dividends=dividends) == expected
 
     @settings(max_examples=50)
     @given(fraction_games())

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from hierpower import (
     verify_networks,
     verify_theorems,
 )
-from hierpower import verification
+from hierpower import TUGame, games, harsanyi_dividends, verification
+from hierpower.games import DEFAULT_PLAYER_CAP
 from hierpower.verification import FAIL, PASS, SKIP
 
 F = Fraction
@@ -141,15 +143,45 @@ class TestShapleyOracle:
     def test_verify_computes_each_shapley_value_once(self, monkeypatch):
         computed = []
 
-        def counting(game, cap):
+        def counting(game, cap, dividends=None):
             computed.append(game)
-            return shapley(game, cap)
+            return shapley(game, cap, dividends)
 
         monkeypatch.setattr(verification, "shapley", counting)
         nets = [generate_random(5, F(1, 2), seed=8100 + k) for k in range(3)]
         report = verify_networks(nets, ["a", "b", "c"])
         assert len(computed) == 2 * len(nets)
         assert {c.name: c.status for c in report.clauses}["shapley-oracle"] == PASS
+
+    def test_verify_inverts_each_table_once(self, monkeypatch):
+        # The unanimity clause's dividends of the strong game serve its
+        # Shapley value too: one transform per game, two per network.
+        computed = []
+
+        def counting(game, cap=DEFAULT_PLAYER_CAP):
+            computed.append(game)
+            return harsanyi_dividends(game, cap)
+
+        monkeypatch.setattr(games, "harsanyi_dividends", counting)
+        monkeypatch.setattr(verification, "harsanyi_dividends", counting)
+        nets = [generate_random(n, F(1, 2), seed=8200 + n) for n in (4, 6, 9)]
+        report = verify_networks(nets, ["a", "b", "c"])
+        assert report.ok
+        assert Counter(computed) == Counter(game for net in nets for game in both_games(net))
+
+    def test_shapley_reads_the_dividends_of_the_table_given(self, fig2):
+        # One worth of the strong table off by one: its dividends are no longer
+        # the predecessor multiset, so a Shapley value read off them is not the
+        # equal-split gauge either.  Read off the expected dividends, it would be.
+        weak, strong = both_games(fig2)
+        worths = list(strong.worths)
+        worths[0b00110] += 1
+        altered = TUGame(fig2.n, worths)
+        report = verify_theorems(fig2, (weak, altered))
+        failed = {c.name for c in report.failures()}
+        assert {"duality", "unanimity-decomposition", "shapley-identity"} <= failed
+        assert report.shapley_values == (beta_measure(fig2), shapley(altered))
+        assert shapley(altered) != beta_measure(fig2)
 
     def test_oracle_disagreement_fails(self, monkeypatch):
         monkeypatch.setattr(verification, "shapley_permutation", lambda game: ())
