@@ -142,7 +142,7 @@ def _pack(values: Iterable[int], k: int) -> int:
     return int.from_bytes(packed, "little")
 
 
-def _unpack(table: int, k: int, count: int, off: int) -> Iterator[Iterable[int]]:
+def _unpack(table: int, k: int, count: int, off: int) -> Iterator[int]:
     """The ``count`` k-byte fields of ``table``, each less ``off``, a multiple of
     256**(k-1), in blocks of 4,096: the top byte plane less off / 256**(k-1),
     then for each lower plane b, 256 times the value so far plus byte b."""
@@ -152,7 +152,7 @@ def _unpack(table: int, k: int, count: int, off: int) -> Iterator[Iterable[int]]
         values = map(operator.sub, chunk[k - 1::k], itertools.repeat(off >> 8 * k - 8))
         for b in reversed(range(k - 1)):
             values = list(map(operator.add, map(operator.lshift, values, eight), chunk[b::k]))
-        yield values
+        yield from values
 
 
 def _stripes(n: int, i: int, without: bytes, held: bytes) -> int:
@@ -265,23 +265,27 @@ def harsanyi_dividends(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> tuple[Exact,
     low, high = min(worths), max(worths)
     k = (n + max(high, -low).bit_length() + 8) // 8  # ceil((n + bits + 1) / 8)
     off = 1 << 8 * k - 1
-    top, zero, base = off.to_bytes(k, "little"), bytes(k), (off + low).to_bytes(k, "little")
-    table = _stripes(n, 0, base, base) + _pack(map(operator.sub, worths, itertools.repeat(low)), k)
+    top, zero = off.to_bytes(k, "little"), bytes(k)
+    table = int.from_bytes((off + low).to_bytes(k, "little") * (1 << n), "little")
+    table += _pack(map(operator.sub, worths, itertools.repeat(low)), k)
     for i in range(n):
         clear = _stripes(n, i, b"\xff" * k, zero)
         table += _stripes(n, i, zero, top) - ((table & clear) << (8 * k << i))
-    div = itertools.chain.from_iterable(_unpack(table, k, 1 << n, off))  # fields hold d + OFF
+    div = _unpack(table, k, 1 << n, off)  # fields hold d + OFF
     return tuple(div) if unit == 1 else tuple(Fraction(d, unit) for d in div)
 
 
-def shapley(
-    v: TUGame, cap: int = DEFAULT_PLAYER_CAP, dividends: tuple[Exact, ...] | None = None
-) -> Imputation:
-    """Shapley value via Harsanyi dividends (``harsanyi_dividends(v)``, unless
-    given): each coalition's dividend is split evenly among its members."""
-    div, unit = _common_denominator(harsanyi_dividends(v, cap) if dividends is None else dividends)
-    sizes = math.lcm(*range(1, v.n + 1))  # every coalition size divides it
-    out = [0] * v.n
+def shapley(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> Imputation:
+    """Shapley value via Harsanyi dividends: each coalition's dividend is
+    split evenly among its members."""
+    return _shapley_from_dividends(v.n, harsanyi_dividends(v, cap))
+
+
+def _shapley_from_dividends(n: int, dividends: tuple[Exact, ...]) -> Imputation:
+    """Shapley value of the n-player game with these Harsanyi dividends."""
+    div, unit = _common_denominator(dividends)
+    sizes = math.lcm(*range(1, n + 1))  # every coalition size divides it
+    out = [0] * n
     for h, d in enumerate(div):
         if d:
             share = d * (sizes // h.bit_count())

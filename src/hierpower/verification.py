@@ -22,6 +22,7 @@ from .games import (
     DEFAULT_PLAYER_CAP,
     Imputation,
     TUGame,
+    _shapley_from_dividends,
     dual,
     gately,
     harsanyi_dividends,
@@ -177,7 +178,7 @@ def verify_theorems(
         dividends == tuple(expected_dividends),
         "dividends of the strong successor game are not the predecessor-set multiset",
     )
-    values = shapley(weak, cap), shapley(strong, cap, dividends)
+    values = shapley(weak, cap), _shapley_from_dividends(net.n, dividends)
     del dividends  # 2**n entries: not held through the convexity and Core scans
 
     record("convexity", is_convex(strong, cap), "strong successor game is not convex")

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -118,7 +117,7 @@ def allocations_and_games(draw) -> tuple[Imputation, TUGame]:
 
 @st.composite
 def small_games(draw) -> TUGame:
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=4))
     worths = [0] + [
         draw(st.integers(min_value=-5, max_value=5)) for _ in range((1 << n) - 1)
     ]
@@ -254,7 +253,7 @@ def boundary_fields(k: int, length: int) -> list[int]:
 
 def unpacked(table: int, k: int, count: int, off: int = 0) -> list[int]:
     """The fields of ``table`` less ``off``, as one list."""
-    return list(itertools.chain.from_iterable(games_module._unpack(table, k, count, off)))
+    return list(games_module._unpack(table, k, count, off))
 
 
 class TestPackedFields:
@@ -595,7 +594,11 @@ class TestShapley:
         cases = [(game, harsanyi_dividends(game), shapley(game)) for game in games]
         monkeypatch.setattr(games_module, "harsanyi_dividends", refuse)
         for game, dividends, expected in cases:
-            assert shapley(game, dividends=dividends) == expected
+            assert games_module._shapley_from_dividends(game.n, dividends) == expected
+
+    def test_zero_player_game(self):
+        assert harsanyi_dividends(TUGame(0, [0])) == (0,)
+        assert tuple(shapley(TUGame(0, [0]))) == ()
 
     @settings(max_examples=50)
     @given(fraction_games())

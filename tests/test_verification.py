@@ -143,11 +143,16 @@ class TestShapleyOracle:
     def test_verify_computes_each_shapley_value_once(self, monkeypatch):
         computed = []
 
-        def counting(game, cap, dividends=None):
+        def counting(game, cap):
             computed.append(game)
-            return shapley(game, cap, dividends)
+            return shapley(game, cap)
+
+        def counting_from_dividends(n, dividends):
+            computed.append(dividends)
+            return games._shapley_from_dividends(n, dividends)
 
         monkeypatch.setattr(verification, "shapley", counting)
+        monkeypatch.setattr(verification, "_shapley_from_dividends", counting_from_dividends)
         nets = [generate_random(5, F(1, 2), seed=8100 + k) for k in range(3)]
         report = verify_networks(nets, ["a", "b", "c"])
         assert len(computed) == 2 * len(nets)
