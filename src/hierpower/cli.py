@@ -21,7 +21,7 @@ from . import __version__
 from .coalitions import members
 from .documents import NetworkDocument, _indented_json, load_document
 from .errors import CapExceededError, HierPowerError, InputError
-from .games import DEFAULT_PLAYER_CAP, Imputation
+from .games import DEFAULT_PLAYER_CAP, Imputation, _check_player_cap
 from .generators import generate_random
 from .measures import (
     _vertex_degrees,
@@ -64,13 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON result document")
-    common.add_argument(
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument(
         "--cap", type=cap, default=DEFAULT_PLAYER_CAP,
         help="largest node count for coalition enumeration (default %(default)s)",
-    )
-    common.add_argument(
-        "--subnetwork-cap", type=cap, default=DEFAULT_SUBNETWORK_CAP,
-        help="largest simple-subnetwork count to enumerate (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -83,14 +80,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", action="store_true", help=f"include the {name} measure")
     p.add_argument("--all", action="store_true", help="include every measure")
 
-    p = sub.add_parser("core", parents=[common], help="Core membership and generating gauges")
+    p = sub.add_parser("core", parents=[capped], help="Core membership and generating gauges")
     p.add_argument("input", help="network file (JSON or edge list)")
+    p.add_argument(
+        "--subnetwork-cap", type=cap, default=DEFAULT_SUBNETWORK_CAP,
+        help="largest simple-subnetwork count to enumerate (default %(default)s)",
+    )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--check", choices=sorted(MEASURES), help="test one measure's gauge")
     group.add_argument("--vertices", action="store_true", help="list the out-degree gauges "
                        "of the simple subnetworks, whose convex hull is the Core")
 
-    p = sub.add_parser("verify", parents=[common], help="verify theorem clauses")
+    p = sub.add_parser("verify", parents=[capped], help="verify theorem clauses")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="verify on one network file")
     group.add_argument("--random", type=int, metavar="COUNT", help="verify on random networks")
@@ -271,6 +272,7 @@ def _cmd_verify(args) -> int:
             raise InputError(str(exc)) from exc
         if not 0 <= prob <= 1:
             raise InputError(f"edge probability must be in [0, 1], got {prob}")
+        _check_player_cap(args.nodes, args.cap)  # before drawing O(n^2) edges per network
         nets = [
             generate_random(args.nodes, prob, seed=args.seed + k) for k in range(args.random)
         ]

@@ -5,7 +5,8 @@ coalition partially controls, and of nodes it fully controls), generic
 game operations (dual, convexity, Harsanyi dividends, Shapley value),
 and the disruption-balancing value with its propensity diagnostics.
 All worths are exact rationals; no float ever enters a computation.
-Whole-table steps work on the 2**n table packed into one int.
+Only the table builders take the player cap; whole-table steps work on
+the 2**n table they build, packed into one int.
 """
 
 from __future__ import annotations
@@ -176,12 +177,14 @@ def _reach_game(net: HierNet, cap: int, nodes: Coalition, strong: bool) -> TUGam
 # --- successor representations -------------------------------------------------
 
 def successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
-    """Worth of a coalition: how many nodes have a predecessor inside it."""
+    """Worth of a coalition: how many nodes have a predecessor inside it.
+    The player cap is enforced here: more than ``cap`` nodes are refused."""
     return _reach_game(net, cap, full_coalition(net.n), strong=False)
 
 
 def strong_successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
-    """Worth of a coalition: how many nodes it fully controls."""
+    """Worth of a coalition: how many nodes it fully controls.  The player
+    cap is enforced here: more than ``cap`` nodes are refused."""
     return _reach_game(net, cap, full_coalition(net.n), strong=True)
 
 
@@ -206,17 +209,17 @@ def dual(v: TUGame) -> TUGame:
     return TUGame._from_table(v.n, [grand - w for w in v.worths[::-1]])
 
 
-def is_convex(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> bool:
+def is_convex(v: TUGame) -> bool:
     """Supermodularity: no second difference of the worths is negative."""
-    return _second_differences_keep_sign(v, 1, cap)
+    return _second_differences_keep_sign(v, 1)
 
 
-def is_concave(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> bool:
+def is_concave(v: TUGame) -> bool:
     """Submodularity: no second difference of the worths is positive."""
-    return _second_differences_keep_sign(v, -1, cap)
+    return _second_differences_keep_sign(v, -1)
 
 
-def _second_differences_keep_sign(v: TUGame, sign: int, cap: int) -> bool:
+def _second_differences_keep_sign(v: TUGame, sign: int) -> bool:
     """True when ``sign * (v(S+i+j) - v(S+i) - v(S+j) + v(S)) >= 0`` for every
     coalition S and players i < j outside it.
 
@@ -229,7 +232,6 @@ def _second_differences_keep_sign(v: TUGame, sign: int, cap: int) -> bool:
     the difference is not negative.  One AND reads the coalitions without
     i and j.  O(n^2) big-int operations on W * 2**n bits.
     """
-    _check_player_cap(v.n, cap)
     n = v.n
     worths, _ = _common_denominator(v.worths)
     low = min(worths)
@@ -249,7 +251,7 @@ def _second_differences_keep_sign(v: TUGame, sign: int, cap: int) -> bool:
     return True
 
 
-def harsanyi_dividends(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> tuple[Exact, ...]:
+def harsanyi_dividends(v: TUGame) -> tuple[Exact, ...]:
     """Moebius inverse of the worth table, indexed by coalition mask.
 
     Reconstruction holds: the worth of any coalition is the sum of the
@@ -259,7 +261,6 @@ def harsanyi_dividends(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> tuple[Exact,
     coalition with player i less the one without.  Entries stay within
     2**n * max|w| < OFF, so in range.  O(n) big-int operations on W * 2**n bits.
     """
-    _check_player_cap(v.n, cap)
     n = v.n
     worths, unit = _common_denominator(v.worths)
     low, high = min(worths), max(worths)
@@ -275,10 +276,10 @@ def harsanyi_dividends(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> tuple[Exact,
     return tuple(div) if unit == 1 else tuple(Fraction(d, unit) for d in div)
 
 
-def shapley(v: TUGame, cap: int = DEFAULT_PLAYER_CAP) -> Imputation:
+def shapley(v: TUGame) -> Imputation:
     """Shapley value via Harsanyi dividends: each coalition's dividend is
     split evenly among its members."""
-    return _shapley_from_dividends(v.n, harsanyi_dividends(v, cap))
+    return _shapley_from_dividends(v.n, harsanyi_dividends(v))
 
 
 def _shapley_from_dividends(n: int, dividends: tuple[Exact, ...]) -> Imputation:
@@ -397,15 +398,12 @@ def coalition_payoffs(x: Imputation) -> tuple[list[int], int]:
     return sums, unit
 
 
-def find_core_violation(
-    v: TUGame, x: Imputation, cap: int = DEFAULT_PLAYER_CAP
-) -> Coalition | None:
+def find_core_violation(v: TUGame, x: Imputation) -> Coalition | None:
     """First coalition (ascending mask order) paid less than its worth.
 
     Raises :class:`EfficiencyError` first when ``x`` does not distribute
     the grand worth, which is a malformed query rather than a refusal.
     """
-    _check_player_cap(v.n, cap)
     if len(x) != v.n:
         raise ValueError(f"allocation has {len(x)} entries for {v.n} players")
     sums, unit = coalition_payoffs(x)
@@ -419,6 +417,6 @@ def find_core_violation(
     return None
 
 
-def in_core(v: TUGame, x: Imputation, cap: int = DEFAULT_PLAYER_CAP) -> bool:
+def in_core(v: TUGame, x: Imputation) -> bool:
     """Exact check that every coalition is paid at least its worth."""
-    return find_core_violation(v, x, cap) is None
+    return find_core_violation(v, x) is None

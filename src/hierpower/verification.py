@@ -136,9 +136,7 @@ class TheoremReport:
         return tuple(c for c in self.clauses if c.status == FAIL)
 
 
-def verify_theorems(
-    net: HierNet, games: tuple[TUGame, TUGame], cap: int = DEFAULT_PLAYER_CAP
-) -> TheoremReport:
+def verify_theorems(net: HierNet, games: tuple[TUGame, TUGame]) -> TheoremReport:
     """Evaluate every theorem clause on one network.
 
     ``games`` are the network's successor and strong successor games,
@@ -172,17 +170,17 @@ def verify_theorems(
     expected_dividends = [0] * (1 << net.n)  # per mask: the nodes with that predecessor set
     for j in parts.dominated:
         expected_dividends[net.pred_masks[j]] += 1
-    dividends = harsanyi_dividends(strong, cap)  # from the table; Shapley reads them too
+    dividends = harsanyi_dividends(strong)  # from the table; Shapley reads them too
     record(
         "unanimity-decomposition",
         dividends == tuple(expected_dividends),
         "dividends of the strong successor game are not the predecessor-set multiset",
     )
-    values = shapley(weak, cap), _shapley_from_dividends(net.n, dividends)
+    values = shapley(weak), _shapley_from_dividends(net.n, dividends)
     del dividends  # 2**n entries: not held through the convexity and Core scans
 
-    record("convexity", is_convex(strong, cap), "strong successor game is not convex")
-    record("concavity", is_concave(weak, cap), "successor game is not concave")
+    record("convexity", is_convex(strong), "strong successor game is not convex")
+    record("concavity", is_concave(weak), "successor game is not concave")
 
     record(
         "shapley-identity",
@@ -190,7 +188,7 @@ def verify_theorems(
         "Shapley values disagree with the closed-form equal-split measure",
     )
 
-    beta_core = in_core(strong, beta, cap)
+    beta_core = in_core(strong, beta)
     record("beta-core", beta_core, "equal-split gauge violates a Core constraint")
 
     if flags.simple:
@@ -198,7 +196,7 @@ def verify_theorems(
         vertices = core_vertices(net)
         record(
             "simple-unique-core",
-            in_core(strong, gauge, cap) and vertices == (gauge,),
+            in_core(strong, gauge) and vertices == (gauge,),
             "out-degree gauge is not the unique Core gauge of a simple network",
         )
     else:
@@ -216,7 +214,7 @@ def verify_theorems(
         "propensities to disrupt are not constant over contested controllers",
     )
 
-    xi_core = in_core(strong, xi, cap)
+    xi_core = in_core(strong, xi)
     active = sum(1 for mask in net.succ_masks if mask)
     if active <= 3:
         record(
@@ -265,9 +263,9 @@ def _propensities_balanced(weak, x: Imputation, parts) -> bool:
     return True
 
 
-def shapley_oracle_agrees(games: Iterable[TUGame], cap: int = DEFAULT_PLAYER_CAP) -> bool:
+def shapley_oracle_agrees(games: Iterable[TUGame]) -> bool:
     """Cross-check the dividend Shapley against the permutation average on each game."""
-    return all(shapley(game, cap) == shapley_permutation(game) for game in games)
+    return all(shapley(game) == shapley_permutation(game) for game in games)
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,7 +314,7 @@ def verify_networks(
     oracle: bool | None = None  # None until a network is small enough for it
     for net, source in zip(nets, sources, strict=True):
         games = successor_game(net, cap), strong_successor_game(net, cap)
-        report = verify_theorems(net, games, cap)
+        report = verify_theorems(net, games)
         for clause in report.clauses:
             counts.setdefault(clause.name, {PASS: 0, FAIL: 0, SKIP: 0})[clause.status] += 1
             if clause.status == FAIL:

@@ -290,7 +290,7 @@ class TestVerify:
         import hierpower.verification as verification_module
         from hierpower.verification import ClauseResult, TheoremReport
 
-        def forced_failure(net, games, cap):
+        def forced_failure(net, games):
             return TheoremReport(net=net, clauses=(ClauseResult("duality", "fail", "forced"),))
 
         monkeypatch.setattr(verification_module, "verify_theorems", forced_failure)
@@ -298,6 +298,15 @@ class TestVerify:
         assert code == 1
         assert "FAILURES detected" in out
         assert "first failure on" in out
+
+    def test_random_cap_refused_before_generating(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a network was generated past the cap")
+
+        monkeypatch.setattr(hierpower.cli, "generate_random", unreachable)
+        code, out, err = run(capsys, "verify", "--random", "2", "--nodes", "100000")
+        assert (code, out) == (3, "")
+        assert "needs 100000, which exceeds the cap of 24" in err
 
 
 class TestErrors:
@@ -359,6 +368,17 @@ class TestErrors:
         assert exc.value.code == 2
         flag = argv[-2]
         assert f"argument {flag}: a cap cannot be negative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", FIG1, "--cap", "3"),
+        ("measure", FIG1, "--all", "--subnetwork-cap", "2"),
+        ("verify", "--input", FIG1, "--subnetwork-cap", "2"),
+    ])
+    def test_cap_flag_only_where_it_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
     def test_zero_cap_is_a_cap(self, capsys):
         code, _, err = run(capsys, "verify", "--random", "1", "--nodes", "3", "--cap", "0")

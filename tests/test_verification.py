@@ -21,7 +21,7 @@ from hierpower import (
     verify_theorems,
 )
 from hierpower import TUGame, games, harsanyi_dividends, verification
-from hierpower.games import DEFAULT_PLAYER_CAP
+from hierpower.errors import CapExceededError
 from hierpower.verification import FAIL, PASS, SKIP
 
 F = Fraction
@@ -128,6 +128,19 @@ class TestVerifyTheorems:
         failed = {c.name for c in verify_theorems(net, (other_weak, strong)).failures()}
         assert "duality" in failed
 
+    def test_cap_refused_where_the_tables_are_built(self, monkeypatch):
+        # Only the table builders check the cap: no consumer of a table is reached.
+        def unreachable(*args):
+            raise AssertionError("a table consumer ran past the cap")
+
+        for name in ("harsanyi_dividends", "is_convex", "in_core"):
+            monkeypatch.setattr(verification, name, unreachable)
+        n = 6
+        nets = [generate_random(n, F(1, 2), seed=7100 + k) for k in range(2)]
+        with pytest.raises(CapExceededError) as exc:
+            verify_networks(nets, ["a", "b"], cap=n - 1)
+        assert (exc.value.required, exc.value.cap) == (n, n - 1)
+
 
 class TestShapleyOracle:
     def test_agreement_on_random_networks(self):
@@ -143,9 +156,9 @@ class TestShapleyOracle:
     def test_verify_computes_each_shapley_value_once(self, monkeypatch):
         computed = []
 
-        def counting(game, cap):
+        def counting(game):
             computed.append(game)
-            return shapley(game, cap)
+            return shapley(game)
 
         def counting_from_dividends(n, dividends):
             computed.append(dividends)
@@ -163,9 +176,9 @@ class TestShapleyOracle:
         # Shapley value too: one transform per game, two per network.
         computed = []
 
-        def counting(game, cap=DEFAULT_PLAYER_CAP):
+        def counting(game):
             computed.append(game)
-            return harsanyi_dividends(game, cap)
+            return harsanyi_dividends(game)
 
         monkeypatch.setattr(games, "harsanyi_dividends", counting)
         monkeypatch.setattr(verification, "harsanyi_dividends", counting)
