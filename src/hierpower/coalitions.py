@@ -31,11 +31,6 @@ def full_coalition(n: int) -> Coalition:
     return (1 << n) - 1
 
 
-def all_coalitions(n: int) -> range:
-    """All 2**n masks in ascending order, empty coalition first."""
-    return range(1 << n)
-
-
 def check_coalition(mask: Coalition, n: int) -> Coalition:
     """Validate that ``mask`` only mentions nodes below ``n``."""
     if mask < 0 or mask >> n:

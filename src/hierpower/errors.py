@@ -43,7 +43,3 @@ class EfficiencyError(HierPowerError):
 
 class GaugeError(HierPowerError):
     """A vector violates the power-gauge invariants (nonnegativity or total)."""
-
-
-class AllocatorError(HierPowerError):
-    """A proportional share is requested where no node has multiple predecessors."""

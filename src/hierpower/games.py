@@ -19,9 +19,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coalitions import Coalition, all_coalitions, coalition, full_coalition, members
+from .coalitions import Coalition, full_coalition, members
 from .errors import CapExceededError, EfficiencyError, NotRegularError
-from .networks import HierNet, partition
+from .networks import HierNet
 from .rationals import Exact, _common_denominator, as_exact
 
 DEFAULT_PLAYER_CAP = 24
@@ -103,23 +103,6 @@ class Imputation(tuple):
         return Fraction(sum(numerators), unit)
 
 
-def unanimity_game(n: int, carrier: Coalition) -> TUGame:
-    """Worth 1 exactly on supersets of ``carrier``."""
-    if carrier == 0:
-        raise ValueError("unanimity carrier must be nonempty")
-    return TUGame(n, [1 if h & carrier == carrier else 0 for h in all_coalitions(n)])
-
-
-def additive_game(values: list[Exact] | tuple[Exact, ...]) -> TUGame:
-    n = len(values)
-    vals = [as_exact(v) for v in values]
-    worths: list[Exact] = [0] * (1 << n)
-    for h in range(1, 1 << n):
-        low = h & -h
-        worths[h] = worths[h ^ low] + vals[low.bit_length() - 1]
-    return TUGame(n, worths)
-
-
 # --- packed tables -------------------------------------------------------------
 # One int holds a table as a k-byte unsigned field per coalition: mask h owns
 # bytes k*h .. k*h + k - 1, little-endian.  A right shift by 8k * 2**i bits
@@ -161,15 +144,15 @@ def _stripes(n: int, i: int, without: bytes, held: bytes) -> int:
     return int.from_bytes((without * (1 << i) + held * (1 << i)) * (1 << n >> i + 1), "little")
 
 
-def _reach_game(net: HierNet, cap: int, nodes: Coalition, strong: bool) -> TUGame:
-    """How many of ``nodes`` each coalition reaches, one byte each: the sum over
-    the nodes of the OR (weak) or AND (strong) of "predecessor i is inside"."""
+def _reach_game(net: HierNet, cap: int, strong: bool) -> TUGame:
+    """How many nodes each coalition reaches, one byte each: the sum over the
+    dominated nodes of the OR (weak) or AND (strong) of "predecessor i is inside"."""
     _check_player_cap(net.n, cap)
     inside = [_stripes(net.n, i, b"\0", b"\1") for i in range(net.n)]
     combine = operator.and_ if strong else operator.or_
     table = sum(
-        functools.reduce(combine, map(inside.__getitem__, members(net.pred_masks[j])))
-        for j in members(nodes) if net.pred_masks[j]
+        functools.reduce(combine, map(inside.__getitem__, members(pred)))
+        for pred in net.pred_masks if pred
     )
     return TUGame._from_table(net.n, table.to_bytes(1 << net.n, "little"))
 
@@ -179,25 +162,13 @@ def _reach_game(net: HierNet, cap: int, nodes: Coalition, strong: bool) -> TUGam
 def successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
     """Worth of a coalition: how many nodes have a predecessor inside it.
     The player cap is enforced here: more than ``cap`` nodes are refused."""
-    return _reach_game(net, cap, full_coalition(net.n), strong=False)
+    return _reach_game(net, cap, strong=False)
 
 
 def strong_successor_game(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> TUGame:
     """Worth of a coalition: how many nodes it fully controls.  The player
     cap is enforced here: more than ``cap`` nodes are refused."""
-    return _reach_game(net, cap, full_coalition(net.n), strong=True)
-
-
-def partial_games(net: HierNet, cap: int = DEFAULT_PLAYER_CAP) -> tuple[TUGame, TUGame]:
-    """Split the successor game by the class of the reached node.
-
-    First component counts reached single-predecessor nodes (an additive
-    game), second counts reached multi-predecessor nodes; they sum to the
-    successor game coalition-wise.
-    """
-    parts = partition(net)
-    halves = coalition(parts.single_pred), coalition(parts.multi_pred)
-    return tuple(_reach_game(net, cap, nodes, strong=False) for nodes in halves)
+    return _reach_game(net, cap, strong=True)
 
 
 # --- generic game operations ---------------------------------------------------

@@ -32,19 +32,3 @@ def generate_random(n: int, edge_prob: object = Fraction(1, 2), seed: int = 0) -
             if i != j and int(draw() * 2**53) * den < bound:
                 succ[i].add(j)
     return HierNet(n, succ)
-
-
-# The standard verification suite mixes node counts 3..7 with sparse,
-# balanced and dense edge probabilities, one derived seed per network.
-SUITE_SIZES = (3, 4, 5, 6, 7)
-SUITE_PROBS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-
-
-def standard_suite(count: int = 200, seed: int = 42) -> list[HierNet]:
-    """Deterministic family of small random networks for property suites."""
-    nets = []
-    for k in range(count):
-        n = SUITE_SIZES[k % len(SUITE_SIZES)]
-        prob = SUITE_PROBS[(k // len(SUITE_SIZES)) % len(SUITE_PROBS)]
-        nets.append(generate_random(n, prob, seed=seed + k))
-    return nets

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coalitions import Coalition, members
-from .errors import AllocatorError, GaugeError
+from .errors import GaugeError
 from .games import DEFAULT_PLAYER_CAP, Imputation, _check_player_cap
 from .networks import (
     DEFAULT_SUBNETWORK_CAP,
@@ -78,19 +78,6 @@ def gately_measure(net: HierNet) -> Imputation:
     contested = len(parts.multi_pred)
     split = zip(parts.succs_single, parts.succs_multi)
     return _gauge([single * pool + multi * contested for single, multi in split], pool, parts)
-
-
-def proportional_allocator(net: HierNet) -> tuple[Fraction, ...]:
-    """Share of the contested pool per node, proportional to contested out-degree.
-
-    Defined only when some node has multiple predecessors; the shares of
-    the controlling nodes sum to one.
-    """
-    parts = partition(net)
-    pool = parts.multi_pred_total
-    if pool == 0:
-        raise AllocatorError("allocator undefined: no node has multiple predecessors")
-    return tuple(Fraction(parts.succs_multi[i], pool) for i in range(net.n))
 
 
 def restricted_egalitarian(net: HierNet) -> Imputation:
@@ -228,11 +215,6 @@ def _max_flow(arcs: list[dict[int, int]], source: int, sink: int) -> int:
             arcs[u][v] -= push
             arcs[v][u] += push
         total += push
-
-
-def is_core_gauge(net: HierNet, delta: Imputation, cap: int = DEFAULT_PLAYER_CAP) -> bool:
-    """True when every coalition is assigned at least the nodes it fully controls."""
-    return core_violation(net, delta, cap) is None
 
 
 def core_vertices(

@@ -51,19 +51,13 @@ SKIP = "skip"
 
 
 @dataclass(frozen=True, slots=True)
-class AxiomWitness:
-    axiom: str
-    net_index: int
-
-
-@dataclass(frozen=True, slots=True)
 class AxiomReport:
-    """Pass/fail per axiom over a network family, with the first failure."""
+    """Pass/fail per axiom over a network family, with each failure's first network."""
 
     normalisation: bool
     normality: bool
     restricted_proportionality: bool
-    witness: AxiomWitness | None = None
+    first_failure: dict[str, int]  # failed axiom -> index of its first failing network
 
     @property
     def all_pass(self) -> bool:
@@ -93,15 +87,11 @@ def check_axioms(measure: Measure, nets: Sequence[HierNet]) -> AxiomReport:
         if "restricted_proportionality" not in failed and not parts.single_pred:
             if not _positively_proportional(out, parts.succs):
                 failed["restricted_proportionality"] = index
-    witness = None
-    if failed:
-        axiom, index = min(failed.items(), key=lambda item: item[1])
-        witness = AxiomWitness(axiom=axiom, net_index=index)
     return AxiomReport(
         normalisation="normalisation" not in failed,
         normality="normality" not in failed,
         restricted_proportionality="restricted_proportionality" not in failed,
-        witness=witness,
+        first_failure=failed,
     )
 
 
@@ -324,16 +314,12 @@ def verify_networks(
         if net.n <= 6 and oracle is not False:  # the report's oracle row covers n <= 6
             oracle = report.shapley_values == tuple(map(shapley_permutation, games))
 
-    axioms = check_axioms(gately_measure, nets)
-    for name, ok in (
-        ("axiom-normalisation", axioms.normalisation),
-        ("axiom-normality", axioms.normality),
-        ("axiom-restricted-proportionality", axioms.restricted_proportionality),
-    ):
-        counts[name] = {PASS: int(ok), FAIL: int(not ok), SKIP: 0}
-        if not ok and axioms.witness is not None:
-            source = sources[axioms.witness.net_index]
-            first_fail[name] = f"first failure on {source}: axiom failed"
+    failed = check_axioms(gately_measure, nets).first_failure
+    for axiom in ("normalisation", "normality", "restricted_proportionality"):
+        name = "axiom-" + axiom.replace("_", "-")
+        counts[name] = {PASS: int(axiom not in failed), FAIL: int(axiom in failed), SKIP: 0}
+        if axiom in failed:
+            first_fail[name] = f"first failure on {sources[failed[axiom]]}: axiom failed"
 
     if oracle is None:
         counts["shapley-oracle"] = {PASS: 0, FAIL: 0, SKIP: 1}

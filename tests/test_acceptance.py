@@ -23,16 +23,15 @@ from hierpower import (
     in_core,
     is_concave,
     is_convex,
-    is_core_gauge,
     partition,
     propensity_to_disrupt,
     proportional_measure,
     shapley,
     shapley_permutation,
-    standard_suite,
     strong_successor_game,
     successor_game,
 )
+from tests.builders import standard_suite
 
 F = Fraction
 
@@ -47,8 +46,8 @@ def test_criterion_1_eight_node_core_counterexample(fig1):
     xi = gately_measure(fig1)
     assert tuple(beta) == (F(1, 2), F(1, 2), F(2, 3), F(2, 3), F(2, 3), 0, 0, 0)
     assert tuple(xi) == (F(3, 8), F(3, 8), F(3, 4), F(3, 4), F(3, 4), 0, 0, 0)
-    assert is_core_gauge(fig1, beta)
-    assert not is_core_gauge(fig1, xi)
+    assert core_violation(fig1, beta) is None
+    assert core_violation(fig1, xi) is not None
     violation = core_violation(fig1, xi)
     assert violation.mask == 0b11  # nodes 1 and 2
     assert violation.shortfall == F(1, 4)
@@ -71,8 +70,8 @@ def test_criterion_2_five_node_core_hull(fig2):
     xi = gately_measure(fig2)
     assert tuple(beta) == (F(17, 6), F(5, 6), F(1, 3), 0, 0)
     assert tuple(xi) == (F(14, 5), F(4, 5), F(2, 5), 0, 0)
-    assert is_core_gauge(fig2, beta)
-    assert is_core_gauge(fig2, xi)
+    assert core_violation(fig2, beta) is None
+    assert core_violation(fig2, xi) is None
     assert tuple(beta) != tuple(xi)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -161,7 +160,7 @@ def test_criterion_6_axiom_suite(fig1, fig2, fig3):
     beta_report = check_axioms(beta_measure, nets)
     assert beta_report.normalisation and beta_report.normality
     assert not beta_report.restricted_proportionality
-    assert classify(nets[beta_report.witness.net_index]).principal
+    assert classify(nets[beta_report.first_failure["restricted_proportionality"]]).principal
 
     proportional_report = check_axioms(proportional_measure, nets)
     assert proportional_report.normalisation and proportional_report.restricted_proportionality

@@ -12,7 +12,6 @@ from hierpower import (
     Imputation,
     NotRegularError,
     TUGame,
-    additive_game,
     coalition,
     dual,
     find_core_violation,
@@ -23,20 +22,18 @@ from hierpower import (
     is_concave,
     is_convex,
     marginal,
-    partial_games,
-    partition,
     propensity_to_disrupt,
     shapley,
     shapley_permutation,
     strong_successor_game,
     strong_successors,
     successor_game,
-    unanimity_game,
     weak_successors,
 )
 from hierpower import games as games_module
 from hierpower.errors import CapExceededError
 from hierpower.games import coalition_payoffs
+from tests.builders import additive_game, unanimity_game
 from tests.oracles.convexity import is_concave_pairs, is_convex_pairs
 from tests.oracles.core import first_deficient_coalition, subset_payoffs
 from tests.oracles.shapley import shapley_by_orders
@@ -199,16 +196,6 @@ class TestSuccessorGames:
                     assert weak.worths[h] == weak_successors(net, h).bit_count()
                     assert strong.worths[h] == strong_successors(net, h).bit_count()
 
-    def test_partial_games_count_the_reach_sets(self):
-        for seed in range(12):
-            net = generate_random(6, F(1, 3), seed=seed)
-            single = coalition(partition(net).single_pred)
-            solo, contested = partial_games(net)
-            for h in range(1 << net.n):
-                reached = weak_successors(net, h)
-                assert solo.worths[h] == (reached & single).bit_count()
-                assert contested.worths[h] == (reached & ~single).bit_count()
-
     @given(st.integers(min_value=0, max_value=40))
     def test_tables_hold_ints_as_the_public_constructor_would(self, seed):
         net = generate_random(5, F(1, 2), seed=seed)
@@ -216,30 +203,6 @@ class TestSuccessorGames:
             for table in (game, dual(game)):
                 assert all(type(w) is int for w in table.worths)
                 assert table == TUGame(net.n, list(table.worths))
-
-    def test_partial_fig2(self, fig2):
-        solo, contested = partial_games(fig2)
-        assert solo.worth(coalition([0])) == 2
-        assert contested.worth(coalition([0])) == 2
-
-    def test_partial_fig1_solo_component_zero(self, fig1):
-        solo, _ = partial_games(fig1)
-        assert set(solo.worths) == {0}
-
-    @given(st.integers(min_value=0, max_value=40))
-    def test_partial_games_sum_to_successor_game(self, seed):
-        net = generate_random(5, F(1, 2), seed=seed)
-        solo, contested = partial_games(net)
-        total = successor_game(net)
-        assert [a + b for a, b in zip(solo.worths, contested.worths)] == list(total.worths)
-
-    @given(st.integers(min_value=0, max_value=40))
-    def test_solo_component_is_additive(self, seed):
-        net = generate_random(5, F(1, 3), seed=seed)
-        solo, _ = partial_games(net)
-        singles = [solo.worth(1 << i) for i in range(net.n)]
-        for h in range(1 << net.n):
-            assert solo.worth(h) == sum(singles[i] for i in range(net.n) if h >> i & 1)
 
 
 # --- packed tables --------------------------------------------------------------

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from hierpower import classify, generate_random, standard_suite
+from hierpower import classify, generate_random
+from tests.builders import standard_suite
 
 F = Fraction
 PINNED = Path(__file__).resolve().parent / "golden" / "random_networks.json"

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hierpower import (
-    AllocatorError,
     CoreViolation,
     GaugeError,
     HierNet,
@@ -22,20 +21,18 @@ from hierpower import (
     gately,
     gately_measure,
     generate_random,
-    is_core_gauge,
     members,
     partition,
-    proportional_allocator,
     proportional_measure,
     restricted_egalitarian,
     shapley,
     simple_subnetwork_count,
     simple_subnetworks,
-    standard_suite,
     strong_successor_game,
     successor_game,
     unique_simple_gauge,
 )
+from tests.builders import standard_suite
 from tests.oracles.hull import in_convex_hull
 
 F = Fraction
@@ -90,27 +87,23 @@ class TestGatelyMeasure:
 
 class TestProportionalAllocator:
     def test_fig1_shares(self, fig1):
-        shares = proportional_allocator(fig1)
-        assert shares[0] == F(1, 8)
-        assert shares[2] == F(1, 4)
+        parts = partition(fig1)
+        assert F(parts.succs_multi[0], parts.multi_pred_total) == F(1, 8)
+        assert F(parts.succs_multi[2], parts.multi_pred_total) == F(1, 4)
 
     def test_fig3_share(self, fig3):
-        assert proportional_allocator(fig3)[2] == F(3, 8)
+        assert F(partition(fig3).succs_multi[2], partition(fig3).multi_pred_total) == F(3, 8)
 
     def test_shares_sum_to_one_over_controllers(self, fig2):
-        assert sum(proportional_allocator(fig2), F(0)) == 1
-
-    def test_undefined_without_contested_nodes(self, chain2):
-        with pytest.raises(AllocatorError, match="undefined"):
-            proportional_allocator(chain2)
+        assert sum(partition(fig2).succs_multi) == partition(fig2).multi_pred_total > 0
 
     def test_reconstructs_gately_measure(self, fig2):
         parts = partition(fig2)
-        shares = proportional_allocator(fig2)
         pool = len(parts.multi_pred)
         xi = gately_measure(fig2)
         for i in range(fig2.n):
-            assert xi[i] == parts.succs_single[i] + shares[i] * pool
+            share = F(parts.succs_multi[i], parts.multi_pred_total)
+            assert xi[i] == parts.succs_single[i] + share * pool
 
 
 class TestRestrictedEgalitarian:
@@ -236,25 +229,25 @@ class TestCoreGauge:
         assert violation.assigned == F(3, 4)
         assert violation.required == 1
         assert violation.shortfall == F(1, 4)
-        assert not is_core_gauge(fig1, gately_measure(fig1))
+        assert core_violation(fig1, gately_measure(fig1)) is not None
 
     def test_fig1_beta_gauge_included(self, fig1):
-        assert is_core_gauge(fig1, beta_measure(fig1))
+        assert core_violation(fig1, beta_measure(fig1)) is None
 
     def test_fig2_both_gauges_included(self, fig2):
-        assert is_core_gauge(fig2, gately_measure(fig2))
-        assert is_core_gauge(fig2, beta_measure(fig2))
+        assert core_violation(fig2, gately_measure(fig2)) is None
+        assert core_violation(fig2, beta_measure(fig2)) is None
 
     def test_simple_network_out_degree_gauge(self, chain2):
-        assert is_core_gauge(chain2, unique_simple_gauge(chain2))
+        assert core_violation(chain2, unique_simple_gauge(chain2)) is None
 
     def test_beta_always_in_core(self):
         for net in random_nets(40, 5, seed=50):
-            assert is_core_gauge(net, beta_measure(net))
+            assert core_violation(net, beta_measure(net)) is None
 
     def test_invalid_gauge_is_an_error(self, fig1):
         with pytest.raises(GaugeError):
-            is_core_gauge(fig1, degree_measure(fig1))
+            core_violation(fig1, degree_measure(fig1))
 
 
 def oracle_violation(net: HierNet, gauge) -> CoreViolation | None:
@@ -378,7 +371,7 @@ class TestCoreVertices:
     def test_every_vertex_is_a_core_gauge(self, fig1, fig2, fig3):
         for net in (fig1, fig2, fig3):
             for gauge in core_vertices(net):
-                assert is_core_gauge(net, gauge)
+                assert core_violation(net, gauge) is None
 
 
 class TestHullMembership:
@@ -390,7 +383,8 @@ class TestHullMembership:
             vertices = [tuple(v) for v in core_vertices(net)]
             for measure in CORE_GAUGES:
                 gauge = measure(net)
-                assert is_core_gauge(net, gauge) == in_convex_hull(tuple(gauge), vertices)
+                in_core = core_violation(net, gauge) is None
+                assert in_core == in_convex_hull(tuple(gauge), vertices)
 
     def test_fig1_gately_gauge_outside_hull(self, fig1):
         vertices = [tuple(v) for v in core_vertices(fig1)]

@@ -39,7 +39,7 @@ class TestCheckAxioms:
     def test_gately_measure_satisfies_all_three(self, fig1, fig2, fig3):
         report = check_axioms(gately_measure, axiom_suite(fig1, fig2, fig3))
         assert report.all_pass
-        assert report.witness is None
+        assert report.first_failure == {}
 
     def test_beta_fails_only_restricted_proportionality(self, fig1, fig2, fig3):
         report = check_axioms(beta_measure, axiom_suite(fig1, fig2, fig3))
@@ -47,7 +47,7 @@ class TestCheckAxioms:
         assert not report.restricted_proportionality
         # the witness network must actually be principal
         nets = axiom_suite(fig1, fig2, fig3)
-        assert classify(nets[report.witness.net_index]).principal
+        assert classify(nets[report.first_failure["restricted_proportionality"]]).principal
 
     def test_egalitarian_fails_only_restricted_proportionality(self, fig1, fig2, fig3):
         report = check_axioms(restricted_egalitarian, axiom_suite(fig1, fig2, fig3))
@@ -63,6 +63,29 @@ class TestCheckAxioms:
         report = check_axioms(degree_measure, axiom_suite(fig1, fig2, fig3))
         assert not report.normalisation
         assert report.normality and report.restricted_proportionality
+
+
+AXIOM_NETS = [generate_random(5, F(1, 2), seed=s) for s in range(12)]
+FIRST_FAILURES = {"normalisation": 7, "normality": 5, "restricted_proportionality": 7}
+
+
+def faulty(net):
+    """Gately, but proportional on net 5 (normality fails) and one more for node 0
+    on net 7 (normalisation and restricted proportionality fail)."""
+    xi = proportional_measure(net) if net == AXIOM_NETS[5] else gately_measure(net)
+    return (xi[0] + 1, *xi[1:]) if net == AXIOM_NETS[7] else xi
+
+
+class TestAxiomFirstFailures:
+    def test_check_axioms_keeps_each_first_failure(self):
+        assert check_axioms(faulty, AXIOM_NETS).first_failure == FIRST_FAILURES
+
+    def test_verify_names_each_axiom_row_by_its_own_network(self, monkeypatch):
+        monkeypatch.setattr(verification, "check_axioms", lambda _, ns: check_axioms(faulty, ns))
+        report = verify_networks(AXIOM_NETS, [f"net{k}" for k in range(12)])
+        for axiom, k in FIRST_FAILURES.items():
+            (row,) = [c for c in report.clauses if c.name == "axiom-" + axiom.replace("_", "-")]
+            assert row.detail == f"first failure on net{k}: axiom failed"
 
 
 def clause_status(report, name: str) -> str:
