@@ -217,14 +217,18 @@ def _measure_rows(labels: tuple[str, ...], results: dict[str, Imputation]) -> li
 def _cmd_core(args) -> int:
     doc, net = _load(args)
     if args.vertices:
-        # Integer tallies rendered straight, with no Fraction per entry.
-        rows = [list(map(str, degrees)) for degrees in _vertex_degrees(net, args.subnetwork_cap)]
+        rows = _vertex_degrees(net, args.subnetwork_cap)
+        digits = [str(d) for d in range(net.n)]  # an out-degree is below n
         if args.json:
-            print(_indented_json({"network": _network_summary(doc, net), "core_vertices": rows}))
+            sep, cell = ",\n      ", [f'"{d}"' for d in digits].__getitem__
+            body = ",\n".join([f"    [\n      {sep.join(map(cell, row))}\n    ]" for row in rows])
+            summary = _indented_json(_network_summary(doc, net), "\n  ")
+            print(f'{{\n  "network": {summary},\n  "core_vertices": [\n{body}\n  ]\n}}')
         else:
             nodes = ", ".join(doc.labels)
             header = f"{len(rows)} distinct Core vertex gauge(s) over nodes ({nodes}):"
-            print("\n".join([header, *("(" + ", ".join(row) + ")" for row in rows)]))
+            lines = (f"({', '.join(map(digits.__getitem__, row))})" for row in rows)
+            print("\n".join([header, *lines]))
         return EXIT_OK
 
     gauge = MEASURES[args.check](net)

@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coalitions import Coalition, members
+from .coalitions import Coalition, coalition, members
 from .errors import GaugeError
 from .games import DEFAULT_PLAYER_CAP, Imputation, _check_player_cap
 from .networks import (
     DEFAULT_SUBNETWORK_CAP,
     HierNet,
     NodePartition,
-    _predecessor_picks,
+    _check_subnetwork_cap,
     partition,
     strong_successors,
 )
@@ -128,24 +128,29 @@ def core_violation(
     full control, i.e. the strong successor representation: coalition S
     needs at least the number of nodes whose predecessors all lie in S.
     Decided by integer min-cuts on the network, never by a 2^n table: one
-    cut says whether any coalition falls short, then one cut per node,
-    highest id first, keeps that node out of the witness whenever some
-    deficient coalition still exists without it.  So the witness is the
-    one an ascending scan of the strong successor table finds first.
+    cut says whether any coalition falls short, and its source side is one
+    that does.  Then, highest id first, each node is kept out of the
+    witness whenever some deficient coalition still exists without it: at
+    once if the coalition in hand lacks it, else by one more cut, whose
+    source side is the next coalition in hand.  So the witness is the one
+    an ascending scan of the strong successor table finds first.
     Networks with more than ``cap`` nodes are still refused up front.
     """
     cost, unit = _common_denominator(delta)
     _gauge(cost, unit, partition(net))
     _check_player_cap(net.n, cap)
     controls = [pred for pred in net.pred_masks if pred]
-    if _best_surplus(controls, cost, unit, 0, 0) <= 0:
+    if (found := _best_surplus(controls, cost, unit, 0, 0)) is None:
         return None
     inside = outside = 0
     for i in reversed(range(net.n)):
-        if _best_surplus(controls, cost, unit, inside, outside | 1 << i) > 0:
-            outside |= 1 << i
-        else:
-            inside |= 1 << i
+        if found >> i & 1:  # the coalition in hand needs i: cut again without it
+            without = _best_surplus(controls, cost, unit, inside, outside | 1 << i)
+            if without is None:
+                inside |= 1 << i
+                continue
+            found = without
+        outside |= 1 << i
     assigned = Fraction(sum(cost[i] for i in members(inside)), unit)
     required = Fraction(strong_successors(net, inside).bit_count())
     return CoreViolation(mask=inside, assigned=assigned, required=required)
@@ -153,17 +158,18 @@ def core_violation(
 
 def _best_surplus(
     controls: list[Coalition], cost: list[int], unit: int, inside: Coalition, outside: Coalition
-) -> int:
-    """Largest ``unit * (required(S) - delta(S))`` over coalitions S that
-    contain ``inside`` and avoid ``outside``; ``cost[i]`` is ``delta[i] * unit``.
+) -> Coalition | None:
+    """A coalition S containing ``inside`` and avoiding ``outside`` with the largest
+    ``unit * (required(S) - delta(S))``, if positive; ``cost[i]`` is ``delta[i] * unit``.
 
     A maximum-weight closure (Picard 1976): each dominated node, given by
     its predecessor mask in ``controls``, is worth ``unit`` once all its
     predecessors are in S, and each predecessor costs its weight.  The
     best closure is the total worth minus a minimum cut of source ->
     dominated node (``unit``), dominated node -> predecessor (unbounded)
-    and predecessor -> sink (its cost).  Nodes in ``inside`` are paid for
-    up front and cut free of charge.
+    and predecessor -> sink (its cost), and S is ``inside`` plus the
+    predecessors on the cut's source side.  Nodes in ``inside`` are paid
+    for up front and cut free of charge.
     """
     reachable = [pred & ~inside for pred in controls if not pred & outside]
     worth = unit * len(reachable)
@@ -182,11 +188,16 @@ def _best_surplus(
                 arcs[sink][vertex[i]] = 0
             arcs[j][vertex[i]] = worth  # no cut exceeds the total worth
             arcs[vertex[i]][j] = 0
-    return worth - paid - _max_flow(arcs, source, sink)
+    flow, side = _max_flow(arcs, source, sink)
+    # Below the worth, the flow saturates no unbounded arc: the side is a closure.
+    if flow >= worth - paid:
+        return None
+    return inside | coalition(i for i, v in vertex.items() if v in side)
 
 
-def _max_flow(arcs: list[dict[int, int]], source: int, sink: int) -> int:
-    """Value of a maximum flow by shortest augmenting paths (Edmonds-Karp).
+def _max_flow(arcs: list[dict[int, int]], source: int, sink: int) -> tuple[int, dict[int, int]]:
+    """Value of a maximum flow by shortest augmenting paths (Edmonds-Karp),
+    and the vertices the source still reaches: a minimum cut's source side.
 
     ``arcs[u][v]`` is the residual capacity of u -> v, and every arc's
     reverse is present; both are updated in place.  Capacities are ints,
@@ -204,7 +215,7 @@ def _max_flow(arcs: list[dict[int, int]], source: int, sink: int) -> int:
             if sink in parent:
                 break
         else:
-            return total
+            return total, parent
         path = []
         v = sink
         while v != source:
@@ -227,23 +238,35 @@ def core_vertices(
     listed is an extreme point: a tally can lie between two others.
 
     Each simple subnetwork keeps one predecessor per dominated node, and
-    its out-degree gauge counts how often each node was kept, so the
-    counts are tallied straight from the predecessor choices without
-    building the subnetworks.  Refuses up front when there are more than
-    ``cap`` choices, like :func:`simple_subnetworks`.
+    its out-degree gauge counts how often each node was kept.  The counts
+    are folded in one dominated node at a time and ties merge as they
+    arise, so the work follows the number of distinct gauges, not of
+    subnetworks, and no subnetwork is built.  Refuses up front when there
+    are more than ``cap`` subnetworks, like :func:`simple_subnetworks`.
     """
     return tuple(Imputation._from_numerators(degrees, 1) for degrees in _vertex_degrees(net, cap))
 
 
 def _vertex_degrees(net: HierNet, cap: int) -> list[tuple[int, ...]]:
-    """The integer out-degree tuples behind :func:`core_vertices`, in its order."""
-    seen = set()
-    for picks in _predecessor_picks(net, cap):
-        degrees = [0] * net.n
-        for i, _ in picks:
-            degrees[i] += 1
-        seen.add(tuple(degrees))
-    return sorted(seen)
+    """The integer out-degree tuples behind :func:`core_vertices`, in its order.
+
+    A tally is one int with a k-byte field per node, node 0 the most
+    significant, so ints order as their tuples do."""
+    _check_subnetwork_cap(net, cap)
+    k = max(1, (max(partition(net).succs).bit_length() + 7) // 8)
+    unit = [1 << 8 * k * i for i in reversed(range(net.n))]
+    base, tallies = 0, {0}
+    for pred in filter(None, net.pred_masks):
+        steps = [unit[i] for i in members(pred)]
+        if len(steps) == 1:
+            base += steps[0]
+        else:
+            tallies = {t + step for t in tallies for step in steps}
+    packed = b"".join((base + t).to_bytes(net.n * k, "big") for t in sorted(tallies))
+    degrees = list(packed[::k])  # each field's top byte, then one byte plane at a time
+    for plane in range(1, k):
+        degrees = [d << 8 | low for d, low in zip(degrees, packed[plane::k])]
+    return list(zip(*[iter(degrees)] * net.n))
 
 
 def unique_simple_gauge(net: HierNet) -> Imputation:

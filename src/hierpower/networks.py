@@ -227,20 +227,10 @@ def simple_subnetwork_count(net: HierNet) -> int:
     return count
 
 
-def _predecessor_picks(net: HierNet, cap: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Every way to keep one predecessor per dominated node, each as the
-    kept ``(predecessor, node)`` edges, dominated nodes ordered by id.
-
-    Lexicographic over the predecessor choices.  Refuses at the call,
-    before yielding anything, when there are more than ``cap`` ways.
-    """
-    total = simple_subnetwork_count(net)
-    if total > cap:
+def _check_subnetwork_cap(net: HierNet, cap: int) -> None:
+    """Refuse a network with more than ``cap`` simple subnetworks."""
+    if (total := simple_subnetwork_count(net)) > cap:
         raise CapExceededError("simple-subnetwork enumeration", total, cap)
-    choices = [
-        [(i, j) for i in members(net.pred_masks[j])] for j in sorted(partition(net).dominated)
-    ]
-    return itertools.product(*choices)
 
 
 def simple_subnetworks(
@@ -253,10 +243,12 @@ def simple_subnetworks(
     lexicographic over predecessor choices, dominated nodes ordered by id.
     Refuses upfront when the total count exceeds ``cap``.
     """
-    for picks in _predecessor_picks(net, cap):
+    _check_subnetwork_cap(net, cap)
+    dominated = [j for j, pred in enumerate(net.pred_masks) if pred]
+    for picks in itertools.product(*(members(net.pred_masks[j]) for j in dominated)):
         succ_masks = [0] * net.n
         pred_masks = [0] * net.n
-        for i, j in picks:
+        for i, j in zip(picks, dominated):
             succ_masks[i] |= 1 << j
             pred_masks[j] = 1 << i
         yield HierNet._from_masks(net.n, succ_masks, pred_masks)

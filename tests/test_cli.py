@@ -14,6 +14,8 @@ import hierpower.games
 import hierpower.networks
 import hierpower.verification
 from hierpower.cli import MEASURES, main
+from hierpower.documents import NetworkDocument, document_to_edge_list
+from tests.builders import standard_suite
 from tests.conftest import fixture_path
 
 F = Fraction
@@ -206,6 +208,51 @@ class TestCore:
         code, _, err = run(capsys, "core", FIG1, "--vertices", "--subnetwork-cap", "2")
         assert code == 3
         assert "needs 18" in err
+
+
+    def test_vertices_by_tally_not_by_selection(self, capsys, tmp_path):
+        path = tmp_path / "ab30.txt"
+        path.write_text("node A\nnode B\n" + "".join(f"A N{k}\nB N{k}\n" for k in range(30)))
+        code, out, err = run(capsys, "core", str(path), "--vertices", "--subnetwork-cap", "1073741824")
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        assert header.startswith("31 distinct Core vertex gauge(s)")
+        assert rows[0] == "(0, 30" + ", 0" * 30 + ")" and len(rows) == 31
+        code, _, err = run(capsys, "core", str(path), "--vertices", "--subnetwork-cap", "1073741823")
+        assert code == 3
+        assert "needs 1073741824" in err
+
+    @staticmethod
+    def check_vertex_rows(capsys, path: Path, net: hierpower.HierNet) -> None:
+        """Both forms of ``--vertices`` list the simple subnetworks' tallies,
+        and the JSON is byte for byte what ``json.dumps(indent=2)`` writes."""
+        expected = sorted({
+            tuple(mask.bit_count() for mask in sub.succ_masks)
+            for sub in hierpower.simple_subnetworks(net)
+        })
+        code, out, _ = run(capsys, "core", str(path), "--vertices", "--json")
+        payload = json.loads(out)
+        assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+        assert [tuple(map(int, row)) for row in payload["core_vertices"]] == expected
+        code, out, _ = run(capsys, "core", str(path), "--vertices")
+        rows = out.splitlines()[1:]
+        assert code == 0 and rows == [str(row).replace(",)", ")") for row in expected]
+
+    def test_vertex_rows_with_two_byte_fields(self, capsys, tmp_path):
+        # The hub's out-degree, 302, needs 2-byte tally fields.
+        edges = [("H", f"L{k}") for k in range(300)] + [("H", "C1"), ("X", "C1"), ("H", "C2"),
+                                                         ("Y", "C2")]
+        doc = NetworkDocument(("H", "X", "Y", *(f"L{k}" for k in range(300)), "C1", "C2"),
+                              tuple(edges))
+        path = tmp_path / "hub.txt"
+        path.write_text(document_to_edge_list(doc))
+        self.check_vertex_rows(capsys, path, doc.to_network())
+
+    def test_vertex_rows_on_the_seeded_suite(self, capsys, tmp_path):
+        path = tmp_path / "net.txt"
+        for net in standard_suite():
+            path.write_text(document_to_edge_list(NetworkDocument.from_network(net)))
+            self.check_vertex_rows(capsys, path, net)
 
 
 class TestVerify:

@@ -2,6 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+
+import hierpower.measures
+import hierpower.networks
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -250,6 +253,31 @@ class TestCoreGauge:
             core_violation(fig1, degree_measure(fig1))
 
 
+class TestCoreViolationFlows:
+    """Nodes outside the deficient coalition in hand are ruled out without a cut."""
+
+    @staticmethod
+    def flows(monkeypatch, net, gauge) -> tuple[CoreViolation | None, int]:
+        calls = []
+        flow = hierpower.measures._max_flow
+        monkeypatch.setattr(hierpower.measures, "_max_flow", lambda *a: calls.append(a) or flow(*a))
+        return core_violation(net, gauge), len(calls)
+
+    def test_in_core_gauge_costs_one_flow(self, fig1, monkeypatch):
+        assert self.flows(monkeypatch, fig1, beta_measure(fig1)) == (None, 1)
+
+    def test_fig1_gately_witness_in_three_flows(self, fig1, monkeypatch):
+        violation, flows = self.flows(monkeypatch, fig1, gately_measure(fig1))
+        assert violation.mask == coalition([0, 1])
+        assert flows <= 3
+
+    def test_five_node_gately_witness_in_three_flows(self, monkeypatch):
+        net = HierNet(5, {0: {2}, 1: {2}, 2: {0}, 3: {0}, 4: {0}})
+        violation, flows = self.flows(monkeypatch, net, gately_measure(net))
+        assert violation == CoreViolation(mask=0b11, assigned=F(4, 5), required=F(1))
+        assert flows <= 3
+
+
 def oracle_violation(net: HierNet, gauge) -> CoreViolation | None:
     """The Core witness found by scanning the 2^n strong successor table."""
     strong = strong_successor_game(net)
@@ -348,6 +376,17 @@ class TestCoreVertices:
                 for sub in simple_subnetworks(net)
             }
             assert core_vertices(net) == tuple(Imputation(v) for v in sorted(expected))
+
+    def test_tallies_without_enumerating_selections(self, monkeypatch):
+        # A and B jointly control 30 nodes: 2^30 selections, 31 distinct tallies.
+        def refuse(*args, **kwargs):
+            raise AssertionError("selections enumerated")
+
+        monkeypatch.setattr(hierpower.networks, "simple_subnetworks", refuse)
+        monkeypatch.setattr(itertools, "product", refuse)
+        net = HierNet(32, {0: set(range(2, 32)), 1: set(range(2, 32))})
+        expected = tuple(Imputation((30 - d, d) + (0,) * 30) for d in range(30, -1, -1))
+        assert core_vertices(net, cap=2**30) == expected
 
     def test_every_marginal_vector_is_listed(self, fig2):
         # The strong successor game is convex, so its marginal vectors are
