@@ -13,8 +13,6 @@ from .documents import (
     NetworkDocument,
     document_from_edge_list,
     document_from_json,
-    document_to_edge_list,
-    document_to_json,
     load_document,
 )
 from .errors import (
@@ -69,7 +67,6 @@ from .networks import (
     simple_subnetwork_count,
     simple_subnetworks,
     strong_successors,
-    weak_successors,
 )
 from .verification import (
     AxiomReport,
@@ -119,8 +116,6 @@ __all__ = [
     "degree_measure",
     "document_from_edge_list",
     "document_from_json",
-    "document_to_edge_list",
-    "document_to_json",
     "dual",
     "find_core_violation",
     "gately",
@@ -149,5 +144,4 @@ __all__ = [
     "unique_simple_gauge",
     "verify_networks",
     "verify_theorems",
-    "weak_successors",
 ]

@@ -98,10 +98,6 @@ def document_from_json(text: str) -> NetworkDocument:
     return NetworkDocument(labels=tuple(labels), edges=tuple(edges))
 
 
-def document_to_json(doc: NetworkDocument) -> str:
-    return _indented_json({"nodes": doc.labels, "edges": doc.edges}) + "\n"
-
-
 # json's spellings of the floats that float.__repr__ writes as nan, inf and -inf
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -176,12 +172,6 @@ def document_from_edge_list(text: str) -> NetworkDocument:
     object.__setattr__(doc, "labels", tuple(labels))
     object.__setattr__(doc, "edges", tuple(edges))
     return doc
-
-
-def document_to_edge_list(doc: NetworkDocument) -> str:
-    lines = [f"node {label}" for label in doc.labels]
-    lines.extend(f"{pred} {succ}" for pred, succ in doc.edges)
-    return "\n".join(lines) + "\n"
 
 
 def load_document(path: str | Path) -> NetworkDocument:

@@ -145,15 +145,6 @@ class NetworkClass:
     principal: bool
 
 
-def weak_successors(net: HierNet, h: Coalition) -> Coalition:
-    """Nodes with at least one predecessor in ``h``: the union of successor sets."""
-    check_coalition(h, net.n)
-    out = 0
-    for i in members(h):
-        out |= net.succ_masks[i]
-    return out
-
-
 def strong_successors(net: HierNet, h: Coalition) -> Coalition:
     """Nodes with a nonempty predecessor set lying entirely inside ``h``."""
     check_coalition(h, net.n)

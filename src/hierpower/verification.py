@@ -6,13 +6,16 @@ proportionality) over a finite family of networks.  ``verify_theorems``
 evaluates every provable clause on one network: duality of the successor
 representations, the unanimity decomposition, convexity/concavity, the
 Shapley and disruption-value identities, Core membership conditions and
-the propensity balance.  Clauses whose hypothesis fails are reported as
-skipped, never as failures.  ``verify_networks`` tallies all of these,
-plus the weighted-marginal Shapley oracle, over a network family.
+the propensity balance.  It computes the facts several clauses share,
+then reads one row per clause: name, hypothesis, check, failure text.
+Clauses whose hypothesis fails are reported as skipped, never as
+failures.  ``verify_networks`` counts every network's clauses, the three
+axiom rows and the weighted-marginal Shapley oracle row in one tally.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,102 +146,61 @@ def verify_theorems(net: HierNet, games: tuple[TUGame, TUGame]) -> TheoremReport
     flags = classify(net)
     beta = beta_measure(net)
     xi = gately_measure(net)
-    clauses: list[ClauseResult] = []
-
-    def record(name: str, ok: bool, detail_fail: str) -> None:
-        clauses.append(ClauseResult(name, PASS if ok else FAIL, "" if ok else detail_fail))
-
-    def skip(name: str, detail: str) -> None:
-        clauses.append(ClauseResult(name, SKIP, detail))
-
-    record(
-        "duality",
-        dual(weak) == strong and dual(strong) == weak,
-        "dual of the successor game differs from the strong successor game",
-    )
-
     expected_dividends = [0] * (1 << net.n)  # per mask: the nodes with that predecessor set
     for j in parts.dominated:
         expected_dividends[net.pred_masks[j]] += 1
     dividends = harsanyi_dividends(strong)  # from the table; Shapley reads them too
-    record(
-        "unanimity-decomposition",
-        dividends == tuple(expected_dividends),
-        "dividends of the strong successor game are not the predecessor-set multiset",
-    )
+    unanimity = dividends == tuple(expected_dividends)
     values = shapley(weak), _shapley_from_dividends(net.n, dividends)
-    del dividends  # 2**n entries: not held through the convexity and Core scans
-
-    record("convexity", is_convex(strong), "strong successor game is not convex")
-    record("concavity", is_concave(weak), "successor game is not concave")
-
-    record(
-        "shapley-identity",
-        values == (beta, beta),
-        "Shapley values disagree with the closed-form equal-split measure",
-    )
-
-    beta_core = in_core(strong, beta)
-    record("beta-core", beta_core, "equal-split gauge violates a Core constraint")
-
-    if flags.simple:
-        gauge = unique_simple_gauge(net)
-        vertices = core_vertices(net)
-        record(
-            "simple-unique-core",
-            in_core(strong, gauge) and vertices == (gauge,),
-            "out-degree gauge is not the unique Core gauge of a simple network",
-        )
-    else:
-        skip("simple-unique-core", "not applicable (not simple)")
-
-    record(
-        "gately-identity",
-        gately(weak) == xi and gately(strong) == xi,
-        "disruption-balancing values disagree with the closed-form measure",
-    )
-
-    record(
-        "propensity-balance",
-        _propensities_balanced(weak, xi, parts),
-        "propensities to disrupt are not constant over contested controllers",
-    )
-
+    del dividends, expected_dividends  # 2**n entries: freed before the convexity and Core scans
     xi_core = in_core(strong, xi)
-    active = sum(1 for mask in net.succ_masks if mask)
-    if active <= 3:
-        record(
-            "gately-core-small",
-            xi_core,
-            "gauge leaves the Core although at most three nodes have successors",
-        )
-    else:
-        skip("gately-core-small", "not applicable (more than three nodes have successors)")
+    small = sum(1 for mask in net.succ_masks if mask) <= 3  # nodes with successors
+    weakly_regular = flags.weakly_regular or "not applicable (not weakly regular)"
 
-    if flags.weakly_regular:
-        record(
-            "gately-core-weakly-regular",
-            xi_core,
-            "gauge leaves the Core although the network is weakly regular",
-        )
-        record(
-            "gately-beta-weakly-regular",
-            xi == beta,
-            "proportional and equal-split gauges differ on a weakly regular network",
-        )
-    else:
-        detail = "not applicable (not weakly regular)"
-        skip("gately-core-weakly-regular", detail)
-        skip("gately-beta-weakly-regular", detail)
+    # (name, hypothesis, check, failure text[, pass text]): a hypothesis is True
+    # or the skip detail, and a check runs only when its hypothesis holds.
+    rows = (
+        ("duality", True, lambda: dual(weak) == strong and dual(strong) == weak,
+         "dual of the successor game differs from the strong successor game"),
+        ("unanimity-decomposition", True, lambda: unanimity,
+         "dividends of the strong successor game are not the predecessor-set multiset"),
+        ("convexity", True, lambda: is_convex(strong), "strong successor game is not convex"),
+        ("concavity", True, lambda: is_concave(weak), "successor game is not concave"),
+        ("shapley-identity", True, lambda: values == (beta, beta),
+         "Shapley values disagree with the closed-form equal-split measure"),
+        ("beta-core", True, lambda: in_core(strong, beta),
+         "equal-split gauge violates a Core constraint"),
+        ("simple-unique-core", flags.simple or "not applicable (not simple)",
+         lambda: all([in_core(strong, gauge := unique_simple_gauge(net)),  # both always run
+                      core_vertices(net) == (gauge,)]),
+         "out-degree gauge is not the unique Core gauge of a simple network"),
+        ("gately-identity", True, lambda: gately(weak) == xi and gately(strong) == xi,
+         "disruption-balancing values disagree with the closed-form measure"),
+        ("propensity-balance", True, lambda: _propensities_balanced(weak, xi, parts),
+         "propensities to disrupt are not constant over contested controllers"),
+        ("gately-core-small",
+         small or "not applicable (more than three nodes have successors)", lambda: xi_core,
+         "gauge leaves the Core although at most three nodes have successors"),
+        ("gately-core-weakly-regular", weakly_regular, lambda: xi_core,
+         "gauge leaves the Core although the network is weakly regular"),
+        ("gately-beta-weakly-regular", weakly_regular, lambda: xi == beta,
+         "proportional and equal-split gauges differ on a weakly regular network"),
+        ("gately-core",
+         xi_core or small or flags.weakly_regular
+         or "fails, as permitted (conditions of the Core theorem not met)",
+         lambda: xi_core, "gauge leaves the Core despite a covering condition",
+         "gauge satisfies every Core constraint"),
+    )
+    clauses = tuple(
+        ClauseResult(name, SKIP, hypothesis) if isinstance(hypothesis, str)
+        else _outcome(name, check(), failure, *passed)
+        for name, hypothesis, check, failure, *passed in rows
+    )
+    return TheoremReport(net=net, clauses=clauses, shapley_values=values)
 
-    if xi_core:
-        clauses.append(ClauseResult("gately-core", PASS, "gauge satisfies every Core constraint"))
-    elif active > 3 and not flags.weakly_regular:
-        skip("gately-core", "fails, as permitted (conditions of the Core theorem not met)")
-    else:
-        record("gately-core", False, "gauge leaves the Core despite a covering condition")
 
-    return TheoremReport(net=net, clauses=tuple(clauses), shapley_values=values)
+def _outcome(name: str, ok: bool, failure: str, passed: str = "") -> ClauseResult:
+    return ClauseResult(name, PASS if ok else FAIL, passed if ok else failure)
 
 
 def _propensities_balanced(weak, x: Imputation, parts) -> bool:
@@ -289,7 +251,8 @@ def verify_networks(
     nets: Sequence[HierNet], sources: Sequence[str], cap: int = DEFAULT_PLAYER_CAP
 ) -> VerifyReport:
     """Tally the theorem clauses, the disruption measure's axioms and the
-    Shapley oracle over ``nets``.
+    Shapley oracle over ``nets``, as (source, clause result) pairs counted
+    by one loop: clauses per network, axiom and oracle rows once per family.
 
     ``sources`` names each network in first-failure details.  With a
     single network, each clause keeps its own detail instead.  Each
@@ -298,40 +261,37 @@ def verify_networks(
     computed: two Moebius inversions per network, the strong game's for
     both the unanimity clause and its Shapley value.
     """
-    counts: dict[str, dict[str, int]] = {}
-    details: dict[str, str] = {}
-    first_fail: dict[str, str] = {}
-    oracle: bool | None = None  # None until a network is small enough for it
+    outcomes: list[tuple[str, ClauseResult]] = []  # (network source, outcome)
+    oracle = "", ClauseResult("shapley-oracle", SKIP)  # until a network is small enough for it
     for net, source in zip(nets, sources, strict=True):
         games = successor_game(net, cap), strong_successor_game(net, cap)
         report = verify_theorems(net, games)
-        for clause in report.clauses:
-            counts.setdefault(clause.name, {PASS: 0, FAIL: 0, SKIP: 0})[clause.status] += 1
-            if clause.status == FAIL:
-                first_fail.setdefault(clause.name, f"first failure on {source}: {clause.detail}")
-            if len(nets) == 1:
-                details[clause.name] = clause.detail
-        if net.n <= 6 and oracle is not False:  # the report's oracle row covers n <= 6
-            oracle = report.shapley_values == tuple(map(shapley_permutation, games))
+        outcomes.extend((source, clause) for clause in report.clauses)
+        if net.n <= 6 and oracle[1].status != FAIL:  # the report's oracle row covers n <= 6
+            agrees = report.shapley_values == tuple(map(shapley_permutation, games))
+            oracle = source, _outcome(
+                "shapley-oracle", agrees, "Shapley values differ from the weighted-marginal oracle"
+            )
 
     failed = check_axioms(gately_measure, nets).first_failure
     for axiom in ("normalisation", "normality", "restricted_proportionality"):
         name = "axiom-" + axiom.replace("_", "-")
-        counts[name] = {PASS: int(axiom not in failed), FAIL: int(axiom in failed), SKIP: 0}
-        if axiom in failed:
-            first_fail[name] = f"first failure on {sources[failed[axiom]]}: axiom failed"
+        source = sources[failed[axiom]] if axiom in failed else ""
+        outcomes.append((source, _outcome(name, axiom not in failed, "axiom failed")))
+    outcomes.append(oracle)  # the axiom and oracle rows count the family once
 
-    if oracle is None:
-        counts["shapley-oracle"] = {PASS: 0, FAIL: 0, SKIP: 1}
-    else:
-        counts["shapley-oracle"] = {PASS: int(oracle), FAIL: int(not oracle), SKIP: 0}
-
+    counts: dict[str, Counter[str]] = {}
+    details: dict[str, str] = {}
+    for source, clause in outcomes:
+        counts.setdefault(clause.name, Counter())[clause.status] += 1
+        if clause.status == FAIL:
+            details.setdefault(clause.name, f"first failure on {source}: {clause.detail}")
+        elif len(nets) == 1:
+            details[clause.name] = clause.detail
     return VerifyReport(
         networks=len(nets),
         clauses=tuple(
-            ClauseTally(
-                name, c[PASS], c[FAIL], c[SKIP], first_fail.get(name, details.get(name, ""))
-            )
+            ClauseTally(name, c[PASS], c[FAIL], c[SKIP], details.get(name, ""))
             for name, c in counts.items()
         ),
     )

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from hierpower import HierNet, TUGame, generate_random
+from hierpower import Coalition, HierNet, NetworkDocument, TUGame, generate_random, members
+from hierpower.coalitions import check_coalition
+from hierpower.documents import _indented_json
 
 
 def unanimity_game(n: int, carrier: int) -> TUGame:
@@ -16,3 +18,22 @@ def standard_suite(count: int = 200, seed: int = 42) -> list[HierNet]:
     """Network k: 3 + k % 5 nodes, edge probability (1 + k // 5 % 3) / 4, seed + k."""
     return [generate_random(3 + k % 5, Fraction(1 + k // 5 % 3, 4), seed=seed + k)
             for k in range(count)]
+
+
+def weak_successors(net: HierNet, h: Coalition) -> Coalition:
+    """Nodes with at least one predecessor in ``h``: the union of successor sets."""
+    check_coalition(h, net.n)
+    out = 0
+    for i in members(h):
+        out |= net.succ_masks[i]
+    return out
+
+
+def document_to_json(doc: NetworkDocument) -> str:
+    return _indented_json({"nodes": doc.labels, "edges": doc.edges}) + "\n"
+
+
+def document_to_edge_list(doc: NetworkDocument) -> str:
+    lines = [f"node {label}" for label in doc.labels]
+    lines.extend(f"{pred} {succ}" for pred, succ in doc.edges)
+    return "\n".join(lines) + "\n"

@@ -14,8 +14,8 @@ import hierpower.games
 import hierpower.networks
 import hierpower.verification
 from hierpower.cli import MEASURES, main
-from hierpower.documents import NetworkDocument, document_to_edge_list
-from tests.builders import standard_suite
+from hierpower.documents import NetworkDocument
+from tests.builders import document_to_edge_list, standard_suite
 from tests.conftest import fixture_path
 
 F = Fraction

@@ -11,11 +11,10 @@ from hierpower import (
     NetworkDocument,
     document_from_edge_list,
     document_from_json,
-    document_to_edge_list,
-    document_to_json,
     load_document,
 )
 from hierpower.documents import _indented_json
+from tests.builders import document_to_edge_list, document_to_json
 from tests.conftest import fixture_path
 
 

@@ -28,12 +28,11 @@ from hierpower import (
     strong_successor_game,
     strong_successors,
     successor_game,
-    weak_successors,
 )
 from hierpower import games as games_module
 from hierpower.errors import CapExceededError
 from hierpower.games import coalition_payoffs
-from tests.builders import additive_game, unanimity_game
+from tests.builders import additive_game, unanimity_game, weak_successors
 from tests.oracles.convexity import is_concave_pairs, is_convex_pairs
 from tests.oracles.core import first_deficient_coalition, subset_payoffs
 from tests.oracles.shapley import shapley_by_orders

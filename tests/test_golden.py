@@ -67,8 +67,7 @@ def golden_random() -> dict:
 def test_cli_output_matches_golden(golden, key):
     argv = CASES[key]
     fig = key.split(" ", 1)[0]
-    # verify --input is pinned on the JSON fixtures only
-    for suffix in (".json",) if argv[0] == "verify" else (".json", ".txt"):
+    for suffix in (".json", ".txt"):
         assert run_cli(argv, fixture_path(fig + suffix)) == golden[key], suffix
 
 

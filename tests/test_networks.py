@@ -13,8 +13,8 @@ from hierpower import (
     simple_subnetwork_count,
     simple_subnetworks,
     strong_successors,
-    weak_successors,
 )
+from tests.builders import weak_successors
 
 
 # --- independent oracles --------------------------------------------------------

@@ -126,6 +126,37 @@ class TestVerifyTheorems:
         assert report.passed
         assert clause_status(report, "simple-unique-core") == PASS
 
+    @pytest.mark.parametrize("fig, failed", [
+        ("fig2", {"gately-core-small", "gately-core"}),  # at most three nodes have successors
+        ("fig3", {"gately-core-weakly-regular", "gately-core"}),  # weakly regular
+    ], ids=("fig2", "fig3"))
+    def test_gately_gauge_outside_the_core_fails_a_covering_clause(
+        self, request, monkeypatch, fig, failed
+    ):
+        net = request.getfixturevalue(fig)
+        xi = gately_measure(net)
+        monkeypatch.setattr(verification, "in_core", lambda v, x: x != xi and games.in_core(v, x))
+        report = verify_theorems(net, both_games(net))
+        assert failed <= {c.name for c in report.failures()}
+        (core_clause,) = [c for c in report.clauses if c.name == "gately-core"]
+        assert core_clause.detail == "gauge leaves the Core despite a covering condition"
+
+    def test_gately_gauge_outside_the_core_is_permitted_without_a_covering_condition(
+        self, monkeypatch, fig1
+    ):
+        xi = gately_measure(fig1)
+        monkeypatch.setattr(verification, "in_core", lambda v, x: x != xi and games.in_core(v, x))
+        report = verify_theorems(fig1, both_games(fig1))
+        (core_clause,) = [c for c in report.clauses if c.name == "gately-core"]
+        assert core_clause.status == SKIP
+        assert core_clause.detail.startswith("fails, as permitted")
+
+    def test_simple_network_with_a_second_core_gauge_fails(self, monkeypatch, chain2):
+        gauge = verification.unique_simple_gauge(chain2)
+        monkeypatch.setattr(verification, "core_vertices", lambda net: (gauge, gauge[::-1]))
+        report = verify_theorems(chain2, both_games(chain2))
+        assert clause_status(report, "simple-unique-core") == FAIL
+
     def test_random_networks_all_pass(self):
         for k in range(60):
             net = generate_random(3 + k % 5, F(1, 2), seed=7000 + k)
@@ -226,5 +257,10 @@ class TestShapleyOracle:
 
     def test_oracle_disagreement_fails(self, monkeypatch):
         monkeypatch.setattr(verification, "shapley_permutation", lambda game: ())
-        report = verify_networks([generate_random(4, F(1, 2), seed=3)], ["a"])
-        assert {c.name: c.status for c in report.clauses}["shapley-oracle"] == FAIL
+        nets = [generate_random(n, F(1, 2), seed=3) for n in (7, 4, 5)]
+        report = verify_networks(nets, ["a", "b", "c"])
+        (row,) = [c for c in report.clauses if c.name == "shapley-oracle"]
+        assert (row.status, row.passed, row.failed, row.skipped) == (FAIL, 0, 1, 0)
+        assert row.detail == (
+            "first failure on b: Shapley values differ from the weighted-marginal oracle"
+        )
