@@ -7,13 +7,16 @@ All numbers are printed exactly as ``p/q``; decimals are annotations.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 cap
 exceeded (both :class:`HierPowerError`), 4 internal error: any other
-exception, a fault in the program, reported with its traceback.
+exception, a fault in the program, reported with its traceback.  141
+(128 + SIGPIPE): the reader closed standard output early, as ``head``
+does; no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Sequence
 
@@ -41,6 +44,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 MEASURES = {
     "beta": beta_measure,
@@ -72,15 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", parents=[common], help="network class and node partition")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("input", help="network file (JSON or edge list)")
 
     p = sub.add_parser("measure", parents=[common], help="compute power gauges")
+    p.set_defaults(run=_cmd_measure)
     p.add_argument("input", help="network file (JSON or edge list)")
     for name in MEASURES:
         p.add_argument(f"--{name}", action="store_true", help=f"include the {name} measure")
     p.add_argument("--all", action="store_true", help="include every measure")
 
     p = sub.add_parser("core", parents=[capped], help="Core membership and generating gauges")
+    p.set_defaults(run=_cmd_core)
     p.add_argument("input", help="network file (JSON or edge list)")
     p.add_argument(
         "--subnetwork-cap", type=cap, default=DEFAULT_SUBNETWORK_CAP,
@@ -92,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "of the simple subnetworks, whose convex hull is the Core")
 
     p = sub.add_parser("verify", parents=[capped], help="verify theorem clauses")
+    p.set_defaults(run=_cmd_verify)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="verify on one network file")
     group.add_argument("--random", type=int, metavar="COUNT", help="verify on random networks")
@@ -110,13 +118,19 @@ _parser = functools.cache(build_parser)  # built on the first call, reused after
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "measure":
-            return _cmd_measure(args)
-        if args.command == "core":
-            return _cmd_core(args)
-        return _cmd_verify(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader stopped reading: not a fault in the program
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError, OSError):  # no real descriptor to redirect
+            pass
+        else:  # the exit-time flush of what is still buffered then goes nowhere, quietly
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -45,24 +45,18 @@ class NetworkDocument:
             pairs.add((pred, succ))
 
     def to_network(self) -> HierNet:
-        # Validation already ruled out self-loops and undeclared labels.
+        # Validation already ruled out self-loops, undeclared labels and
+        # duplicate edges: sorted, the rows are what HierNet would build.
         index = {label: i for i, label in enumerate(self.labels)}
-        succ_masks = [0] * len(index)
-        pred_masks = [0] * len(index)
-        for pred, succ in self.edges:
-            i, j = index[pred], index[succ]
-            succ_masks[i] |= 1 << j
-            pred_masks[j] |= 1 << i
-        return HierNet._from_masks(len(index), succ_masks, pred_masks)
-
-    @classmethod
-    def from_network(cls, net: HierNet, labels: tuple[str, ...] | None = None) -> NetworkDocument:
-        if labels is None:
-            labels = tuple(str(i) for i in range(net.n))
-        if len(labels) != net.n:
-            raise InputError(f"{len(labels)} labels for {net.n} nodes")
-        edges = tuple((labels[i], labels[j]) for i, j in net.edges())
-        return cls(labels=labels, edges=edges)
+        succ: list[list[int]] = [[] for _ in index]
+        pred: list[list[int]] = [[] for _ in index]
+        for p, s in self.edges:
+            i, j = index[p], index[s]
+            succ[i].append(j)
+            pred[j].append(i)
+        for row in succ + pred:
+            row.sort()
+        return HierNet._from_rows(len(index), succ, pred)
 
 
 # --- JSON format ----------------------------------------------------------------

@@ -151,8 +151,8 @@ def _reach_game(net: HierNet, cap: int, strong: bool) -> TUGame:
     inside = [_stripes(net.n, i, b"\0", b"\1") for i in range(net.n)]
     combine = operator.and_ if strong else operator.or_
     table = sum(
-        functools.reduce(combine, map(inside.__getitem__, members(pred)))
-        for pred in net.pred_masks if pred
+        functools.reduce(combine, map(inside.__getitem__, pred))
+        for pred in net._pred if pred
     )
     return TUGame._from_table(net.n, table.to_bytes(1 << net.n, "little"))
 

@@ -61,7 +61,7 @@ def beta_measure(net: HierNet) -> Imputation:
     parts = partition(net)
     unit = math.lcm(*filter(None, parts.preds))
     share = [unit // k if k else 0 for k in parts.preds]
-    numerators = [sum(share[j] for j in members(mask)) for mask in net.succ_masks]
+    numerators = [sum(map(share.__getitem__, row)) for row in net._succ]
     return _gauge(numerators, unit, parts)
 
 
@@ -103,7 +103,7 @@ def proportional_measure(net: HierNet) -> Imputation:
 
 def degree_measure(net: HierNet) -> Imputation:
     """Raw out-degree vector; in general not a power gauge."""
-    return Imputation._from_numerators((mask.bit_count() for mask in net.succ_masks), 1)
+    return Imputation._from_numerators(map(len, net._succ), 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +139,7 @@ def core_violation(
     cost, unit = _common_denominator(delta)
     _gauge(cost, unit, partition(net))
     _check_player_cap(net.n, cap)
-    controls = [pred for pred in net.pred_masks if pred]
+    controls = [coalition(pred) for pred in net._pred if pred]
     if (found := _best_surplus(controls, cost, unit, 0, 0)) is None:
         return None
     inside = outside = 0
@@ -256,8 +256,8 @@ def _vertex_degrees(net: HierNet, cap: int) -> list[tuple[int, ...]]:
     k = max(1, (max(partition(net).succs).bit_length() + 7) // 8)
     unit = [1 << 8 * k * i for i in reversed(range(net.n))]
     base, tallies = 0, {0}
-    for pred in filter(None, net.pred_masks):
-        steps = [unit[i] for i in members(pred)]
+    for pred in filter(None, net._pred):
+        steps = [unit[i] for i in pred]
         if len(steps) == 1:
             base += steps[0]
         else:

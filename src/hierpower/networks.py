@@ -10,10 +10,11 @@ single-controller selections (simple subnetworks).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from .coalitions import Coalition, check_coalition, coalition, members
+from .coalitions import Coalition, check_coalition
 from .errors import CapExceededError
 
 DEFAULT_SUBNETWORK_CAP = 10**6
@@ -22,7 +23,9 @@ DEFAULT_SUBNETWORK_CAP = 10**6
 class HierNet:
     """Immutable directed network over dense node ids ``0..n-1``.
 
-    Self-succession is rejected; cycles and mutual edges are allowed.
+    Each node's successors and predecessors are kept as sorted tuples of
+    node ids, O(n + E) in all.  Self-succession is rejected; cycles and
+    mutual edges are allowed, and a successor listed twice counts once.
     """
 
     __slots__ = ("n", "_succ", "_pred", "_parts")
@@ -39,55 +42,41 @@ class HierNet:
             rows = [row for row in succ]
             if len(rows) != n:
                 raise ValueError(f"expected {n} successor rows, got {len(rows)}")
-        succ_masks = []
-        pred_masks = [0] * n
-        for i, row in enumerate(rows):
-            mask = 0
+        succ_rows = [tuple(sorted(set(map(operator.index, row)))) for row in rows]
+        pred_rows: list[list[int]] = [[] for _ in range(n)]
+        for i, row in enumerate(succ_rows):
             for j in row:
                 if not 0 <= j < n:
                     raise ValueError(f"successor {j} of node {i} is outside 0..{n - 1}")
                 if j == i:
                     raise ValueError(f"node {i} cannot be its own successor")
-                mask |= 1 << j
-                pred_masks[j] |= 1 << i
-            succ_masks.append(mask)
-        self._set_masks(n, succ_masks, pred_masks)
-
-    @classmethod
-    def _from_masks(cls, n: int, succ_masks: list[int], pred_masks: list[int]) -> HierNet:
-        # Skips validation: callers derive both lists, each the other's transpose.
-        net = cls.__new__(cls)
-        net._set_masks(n, succ_masks, pred_masks)
-        return net
-
-    def _set_masks(self, n: int, succ_masks: list[int], pred_masks: list[int]) -> None:
-        self.n = n
-        self._succ = tuple(succ_masks)
-        self._pred = tuple(pred_masks)
+                pred_rows[j].append(i)
+        self.n, self._succ, self._pred = n, tuple(succ_rows), tuple(map(tuple, pred_rows))
         self._parts = None
 
-    @property
-    def succ_masks(self) -> tuple[int, ...]:
-        return self._succ
+    @classmethod
+    def _from_rows(cls, n: int, succ: Iterable[Iterable[int]],
+                   pred: Iterable[Iterable[int]]) -> HierNet:
+        # Skips validation: the rows are sorted and duplicate-free, pred is succ transposed.
+        net = cls.__new__(cls)
+        net.n, net._succ, net._pred = n, tuple(map(tuple, succ)), tuple(map(tuple, pred))
+        net._parts = None
+        return net
 
-    @property
-    def pred_masks(self) -> tuple[int, ...]:
-        return self._pred
+    def successors(self, i: int) -> tuple[int, ...]:
+        return self._succ[i]
 
-    def successors(self, i: int) -> frozenset[int]:
-        return frozenset(members(self._succ[i]))
-
-    def predecessors(self, j: int) -> frozenset[int]:
-        return frozenset(members(self._pred[j]))
+    def predecessors(self, j: int) -> tuple[int, ...]:
+        return self._pred[j]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All (predecessor, successor) pairs, sorted."""
-        for i in range(self.n):
-            for j in members(self._succ[i]):
+        for i, row in enumerate(self._succ):
+            for j in row:
                 yield i, j
 
     def edge_count(self) -> int:
-        return sum(mask.bit_count() for mask in self._succ)
+        return sum(map(len, self._succ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HierNet):
@@ -149,8 +138,8 @@ def strong_successors(net: HierNet, h: Coalition) -> Coalition:
     """Nodes with a nonempty predecessor set lying entirely inside ``h``."""
     check_coalition(h, net.n)
     out = 0
-    for j, pred in enumerate(net.pred_masks):
-        if pred and pred & ~h == 0:
+    for j, pred in enumerate(net._pred):
+        if pred and all(h >> i & 1 for i in pred):
             out |= 1 << j
     return out
 
@@ -164,20 +153,19 @@ def partition(net: HierNet) -> NodePartition:
     if net._parts is not None:
         return net._parts
     n = net.n
-    preds = tuple(mask.bit_count() for mask in net.pred_masks)
-    succs = tuple(mask.bit_count() for mask in net.succ_masks)
-    multi = coalition(j for j in range(n) if preds[j] >= 2)
-    single = coalition(j for j in range(n) if preds[j] == 1)
-    succs_single = tuple((mask & single).bit_count() for mask in net.succ_masks)
-    succs_multi = tuple((mask & multi).bit_count() for mask in net.succ_masks)
+    preds = tuple(map(len, net._pred))
+    succs = tuple(map(len, net._succ))
+    contested = [k >= 2 for k in preds]
+    succs_multi = tuple(sum(map(contested.__getitem__, row)) for row in net._succ)
     net._parts = NodePartition(
         n=n,
         no_pred=frozenset(j for j in range(n) if preds[j] == 0),
-        single_pred=frozenset(members(single)),
-        multi_pred=frozenset(members(multi)),
+        single_pred=frozenset(j for j in range(n) if preds[j] == 1),
+        multi_pred=frozenset(j for j in range(n) if preds[j] >= 2),
         preds=preds,
         succs=succs,
-        succs_single=succs_single,
+        # every successor of i has i as a predecessor: it is single or multi
+        succs_single=tuple(map(operator.sub, succs, succs_multi)),
         succs_multi=succs_multi,
     )
     return net._parts
@@ -204,9 +192,10 @@ def classify(net: HierNet) -> NetworkClass:
 
 def principal_restriction(net: HierNet) -> HierNet:
     """Keep only edges into multi-predecessor nodes; idempotent."""
-    multi = coalition(partition(net).multi_pred)
-    kept = [mask if multi >> j & 1 else 0 for j, mask in enumerate(net.pred_masks)]
-    return HierNet._from_masks(net.n, [mask & multi for mask in net.succ_masks], kept)
+    multi = partition(net).multi_pred
+    succ = [[j for j in row if j in multi] for row in net._succ]
+    pred = [row if j in multi else () for j, row in enumerate(net._pred)]
+    return HierNet._from_rows(net.n, succ, pred)
 
 
 def simple_subnetwork_count(net: HierNet) -> int:
@@ -235,11 +224,11 @@ def simple_subnetworks(
     Refuses upfront when the total count exceeds ``cap``.
     """
     _check_subnetwork_cap(net, cap)
-    dominated = [j for j, pred in enumerate(net.pred_masks) if pred]
-    for picks in itertools.product(*(members(net.pred_masks[j]) for j in dominated)):
-        succ_masks = [0] * net.n
-        pred_masks = [0] * net.n
-        for i, j in zip(picks, dominated):
-            succ_masks[i] |= 1 << j
-            pred_masks[j] = 1 << i
-        yield HierNet._from_masks(net.n, succ_masks, pred_masks)
+    dominated = [j for j, pred in enumerate(net._pred) if pred]
+    for picks in itertools.product(*(net._pred[j] for j in dominated)):
+        succ: list[list[int]] = [[] for _ in range(net.n)]
+        pred: list[tuple[int, ...]] = [()] * net.n
+        for i, j in zip(picks, dominated):  # j ascending: each successor row stays sorted
+            succ[i].append(j)
+            pred[j] = (i,)
+        yield HierNet._from_rows(net.n, succ, pred)

@@ -20,6 +20,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coalitions import coalition
 from .games import (
     BALANCED_PROPENSITY,
     DEFAULT_PLAYER_CAP,
@@ -148,13 +149,13 @@ def verify_theorems(net: HierNet, games: tuple[TUGame, TUGame]) -> TheoremReport
     xi = gately_measure(net)
     expected_dividends = [0] * (1 << net.n)  # per mask: the nodes with that predecessor set
     for j in parts.dominated:
-        expected_dividends[net.pred_masks[j]] += 1
+        expected_dividends[coalition(net.predecessors(j))] += 1
     dividends = harsanyi_dividends(strong)  # from the table; Shapley reads them too
     unanimity = dividends == tuple(expected_dividends)
     values = shapley(weak), _shapley_from_dividends(net.n, dividends)
     del dividends, expected_dividends  # 2**n entries: freed before the convexity and Core scans
     xi_core = in_core(strong, xi)
-    small = sum(1 for mask in net.succ_masks if mask) <= 3  # nodes with successors
+    small = sum(1 for s in parts.succs if s) <= 3  # nodes with successors
     weakly_regular = flags.weakly_regular or "not applicable (not weakly regular)"
 
     # (name, hypothesis, check, failure text[, pass text]): a hypothesis is True

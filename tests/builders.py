@@ -1,6 +1,15 @@
 from fractions import Fraction
 
-from hierpower import Coalition, HierNet, NetworkDocument, TUGame, generate_random, members
+from hierpower import (
+    Coalition,
+    HierNet,
+    InputError,
+    NetworkDocument,
+    TUGame,
+    coalition,
+    generate_random,
+    members,
+)
 from hierpower.coalitions import check_coalition
 from hierpower.documents import _indented_json
 
@@ -23,10 +32,16 @@ def standard_suite(count: int = 200, seed: int = 42) -> list[HierNet]:
 def weak_successors(net: HierNet, h: Coalition) -> Coalition:
     """Nodes with at least one predecessor in ``h``: the union of successor sets."""
     check_coalition(h, net.n)
-    out = 0
-    for i in members(h):
-        out |= net.succ_masks[i]
-    return out
+    return coalition(j for i in members(h) for j in net.successors(i))
+
+
+def document_from_network(net: HierNet, labels: tuple[str, ...] | None = None) -> NetworkDocument:
+    if labels is None:
+        labels = tuple(str(i) for i in range(net.n))
+    if len(labels) != net.n:
+        raise InputError(f"{len(labels)} labels for {net.n} nodes")
+    edges = tuple((labels[i], labels[j]) for i, j in net.edges())
+    return NetworkDocument(labels=labels, edges=edges)
 
 
 def document_to_json(doc: NetworkDocument) -> str:

@@ -15,7 +15,7 @@ import hierpower.networks
 import hierpower.verification
 from hierpower.cli import MEASURES, main
 from hierpower.documents import NetworkDocument
-from tests.builders import document_to_edge_list, standard_suite
+from tests.builders import document_from_network, document_to_edge_list, standard_suite
 from tests.conftest import fixture_path
 
 F = Fraction
@@ -227,7 +227,7 @@ class TestCore:
         """Both forms of ``--vertices`` list the simple subnetworks' tallies,
         and the JSON is byte for byte what ``json.dumps(indent=2)`` writes."""
         expected = sorted({
-            tuple(mask.bit_count() for mask in sub.succ_masks)
+            tuple(len(sub.successors(i)) for i in range(sub.n))
             for sub in hierpower.simple_subnetworks(net)
         })
         code, out, _ = run(capsys, "core", str(path), "--vertices", "--json")
@@ -251,7 +251,7 @@ class TestCore:
     def test_vertex_rows_on_the_seeded_suite(self, capsys, tmp_path):
         path = tmp_path / "net.txt"
         for net in standard_suite():
-            path.write_text(document_to_edge_list(NetworkDocument.from_network(net)))
+            path.write_text(document_to_edge_list(document_from_network(net)))
             self.check_vertex_rows(capsys, path, net)
 
 
@@ -380,6 +380,37 @@ class TestErrors:
         assert err.startswith("Traceback (most recent call last):")
         assert "in broken" in err
         assert err.endswith("internal error: ValueError: internal fault\n")
+
+    def test_closed_pipe_is_not_an_internal_error(self, capsys, monkeypatch):
+        class ClosedPipe:  # no fileno: nothing to point at the null device
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["measure", FIG1, "--all", "--json"])
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_reader_closing_early_ends_with_141_and_no_traceback(self, tmp_path, wide):
+        # wide: 400 nodes, far more text than a pipe buffer holds, so a write
+        # fails inside the command; fig1: three short lines, which stay in the
+        # buffer of a block-buffered stdout until it is flushed
+        path = tmp_path / "wide.txt"
+        path.write_text("".join(f"H N{k}\n" for k in range(400)))
+        argv = ["measure", str(path), "--all", "--json"] if wide else ["classify", FIG1]
+        src = str(Path(hierpower.__file__).resolve().parent.parent)
+        path_env = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "hierpower", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path_env, "PYTHONUNBUFFERED": ""},
+        )
+        child.stdout.close()  # the reader leaves before reading a byte
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 141
+        assert err == b""
 
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(hierpower.__file__).resolve().parent.parent)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hierpower import classify, generate_random
+from hierpower import classify, coalition, generate_random
 from tests.builders import standard_suite
 
 F = Fraction
@@ -72,4 +72,5 @@ def test_seeds_pin_the_same_edge_sets():
     recorded = json.loads(PINNED.read_text(encoding="utf-8"))
     for case in recorded:
         net = generate_random(case["nodes"], F(case["edge_prob"]), seed=case["seed"])
-        assert list(net.succ_masks) == case["succ_masks"], case
+        masks = [coalition(net.successors(i)) for i in range(net.n)]
+        assert masks == case["succ_masks"], case

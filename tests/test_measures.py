@@ -294,7 +294,7 @@ def nets_with_near_core_gauges(draw) -> tuple[HierNet, tuple[Fraction, ...], boo
     weight moved to another node, and whether anything was moved."""
     n = draw(st.integers(min_value=2, max_value=7))
     net = HierNet(n, [{j for j in range(n) if j != i and draw(st.booleans())} for i in range(n)])
-    dominated = [j for j in range(n) if net.pred_masks[j]]
+    dominated = [j for j in range(n) if net.predecessors(j)]
     # each pick chooses one predecessor per dominated node: a simple
     # subnetwork, whose out-degree vector is a Core vertex
     picks = draw(st.lists(
@@ -372,7 +372,7 @@ class TestCoreVertices:
             if simple_subnetwork_count(net) > 5000:
                 continue
             expected = {
-                tuple(mask.bit_count() for mask in sub.succ_masks)
+                tuple(len(sub.successors(i)) for i in range(sub.n))
                 for sub in simple_subnetworks(net)
             }
             assert core_vertices(net) == tuple(Imputation(v) for v in sorted(expected))

@@ -71,11 +71,22 @@ class TestHierNet:
 
     def test_accepts_cycles_and_mutual_edges(self):
         net = HierNet(3, [{1}, {2, 0}, {0}])
-        assert net.successors(1) == {0, 2}
+        assert net.successors(1) == (0, 2)
 
     def test_mapping_input(self):
         net = HierNet(3, {0: {1}, 2: {1}})
-        assert net.predecessors(1) == {0, 2}
+        assert net.predecessors(1) == (0, 2)
+
+    def test_rows_are_sorted_and_a_repeated_successor_counts_once(self):
+        net = HierNet(3, [[2, 1, 1], [], []])
+        assert net == HierNet(3, [[1, 2], [], []]) == HierNet(3, {0: (2, 1, 2)})
+        assert net.edge_count() == 2
+        assert net.successors(0) == (1, 2)
+        assert net.predecessors(1) == net.predecessors(2) == (0,)
+
+    def test_rejects_a_non_integer_node_id(self):
+        with pytest.raises(TypeError):
+            HierNet(3, [[1.0], [], []])
 
     def test_equality_and_hash(self):
         a = HierNet(2, [{1}, set()])
@@ -205,9 +216,10 @@ class TestPartition:
     def test_derived_networks_get_their_own_partition(self, net):
         partition(net)  # the parent's partition exists before anything is derived
         for sub in (principal_restriction(net), *simple_subnetworks(net, cap=10_000)):
-            fresh = HierNet(sub.n, [list(members(mask)) for mask in sub.succ_masks])
+            fresh = HierNet(sub.n, [sub.successors(i) for i in range(sub.n)])
             assert partition(sub) == partition(fresh)
-            assert sub.pred_masks == fresh.pred_masks
+            assert [sub.predecessors(j) for j in range(sub.n)] == [
+                fresh.predecessors(j) for j in range(sub.n)]
 
 
 # --- classification -------------------------------------------------------------
@@ -296,6 +308,6 @@ class TestSimpleSubnetworks:
             count += 1
             assert classify(sub).simple
             for i in range(net.n):
-                assert sub.succ_masks[i] & ~net.succ_masks[i] == 0
+                assert set(sub.successors(i)) <= set(net.successors(i))
             assert partition(sub).dominated == parts.dominated
         assert count == simple_subnetwork_count(net)

@@ -12,6 +12,8 @@ REMOVED = ("unanimity_game", "additive_game", "partial_games", "proportional_all
            "AllocatorError", "is_core_gauge", "standard_suite", "SUITE_SIZES", "SUITE_PROBS",
            "all_coalitions", "AxiomWitness", "weak_successors", "document_to_json",
            "document_to_edge_list")
+REMOVED_MEMBERS = ("HierNet.succ_masks", "HierNet.pred_masks", "HierNet._set_masks",
+                   "HierNet._from_masks", "NetworkDocument.from_network")
 
 
 def test_modules_use_their_imports_and_removed_names_stay_gone():
@@ -24,6 +26,12 @@ def test_modules_use_their_imports_and_removed_names_stay_gone():
         assert path.stem == "__init__" or imported <= used, (path.name, imported - used)
         module = importlib.import_module(f"hierpower.{path.stem}".removesuffix(".__init__"))
         assert not [name for name in REMOVED if hasattr(module, name)], path.name
+
+
+def test_removed_members_stay_gone():
+    for name in REMOVED_MEMBERS:
+        owner, attr = name.split(".")
+        assert not hasattr(getattr(hierpower, owner), attr), name
 
 
 def test_every_helper_is_called_documented_or_traced():
