@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .coalitions import members
@@ -27,13 +29,13 @@ from .errors import CapExceededError, HierPowerError, InputError
 from .games import DEFAULT_PLAYER_CAP, Imputation, _check_player_cap
 from .generators import generate_random
 from .measures import (
+    _beta,
+    _degree,
+    _egalitarian,
+    _gately,
+    _proportional,
     _vertex_degrees,
-    beta_measure,
     core_violation,
-    degree_measure,
-    gately_measure,
-    proportional_measure,
-    restricted_egalitarian,
 )
 from .networks import DEFAULT_SUBNETWORK_CAP, HierNet, classify, partition
 from .rationals import as_exact
@@ -46,12 +48,12 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
-MEASURES = {
-    "beta": beta_measure,
-    "gately": gately_measure,
-    "egalitarian": restricted_egalitarian,
-    "proportional": proportional_measure,
-    "degree": degree_measure,
+MEASURES = {  # each as (numerators, unit): numerators[i] / unit is node i's entry
+    "beta": _beta,
+    "gately": _gately,
+    "egalitarian": _egalitarian,
+    "proportional": _proportional,
+    "degree": _degree,
 }
 
 
@@ -168,11 +170,21 @@ def _network_summary(doc: NetworkDocument, net: HierNet) -> dict:
     }
 
 
-def _gauge_json(labels: tuple[str, ...], values) -> dict:
-    return {
-        label: {"exact": str(v), "decimal": float(v)}
-        for label, v in zip(labels, values)
-    }
+def _ratio(k: int, unit: int) -> str:
+    """``str(Fraction(k, unit))`` for ``unit`` > 0, with no Fraction built."""
+    g = math.gcd(k, unit)
+    return f"{k // g}/{unit // g}" if unit != g else str(k // g)
+
+
+def _gauge_block(labels: tuple[str, ...], numerators: list[int], unit: int, indent: str) -> str:
+    """``_indented_json`` of {label: {"exact": ..., "decimal": ...}} at ``indent`` for the
+    gauge ``numerators[i] / unit`` over one or more labels, each numerator's text made once.
+    Int true division rounds correctly, so the decimal is float(Fraction(k, unit))."""
+    inner = indent + "  "
+    text = {k: f': {{{inner}  "exact": "{_ratio(k, unit)}",{inner}  "decimal": {k / unit!r}'
+               f'{inner}}}' for k in set(numerators)}
+    rows = map(str.__add__, map(encode_basestring_ascii, labels), map(text.__getitem__, numerators))
+    return "{" + inner + ("," + inner).join(rows) + indent + "}"
 
 
 def _coalition_labels(mask: int, labels: tuple[str, ...]) -> str:
@@ -210,21 +222,23 @@ def _cmd_measure(args) -> int:
     if args.json:
         print(_indented_json({
             "network": _network_summary(doc, net),
-            "measures": {name: _gauge_json(doc.labels, values) for name, values in results.items()},
+            "measures": {name: functools.partial(_gauge_block, doc.labels, *gauge)
+                         for name, gauge in results.items()},
         }))
     else:
         print("\n".join(_measure_rows(doc.labels, results)))
     return EXIT_OK
 
 
-def _measure_rows(labels: tuple[str, ...], results: dict[str, Imputation]) -> list[str]:
+def _measure_rows(labels: tuple[str, ...], gauges: dict[str, tuple[list[int], int]]) -> list[str]:
     """The text table: one column per gauge, one row per node, then the totals."""
     width = max(5, *(len(label) for label in labels))
-    gauges = results.values()
-    columns = [[f"  {str(v):>14}" for v in gauge] for gauge in gauges]
-    rows = ["node".ljust(width) + "".join(f"  {name:>14}" for name in results)]
+    texts = [{k: f"  {_ratio(k, unit):>14}" for k in set(nums)} for nums, unit in gauges.values()]
+    columns = [map(text.__getitem__, nums) for text, (nums, _) in zip(texts, gauges.values())]
+    rows = ["node".ljust(width) + "".join(f"  {name:>14}" for name in gauges)]
     rows.extend(label.ljust(width) + "".join(cells) for label, *cells in zip(labels, *columns))
-    rows.append("total".ljust(width) + "".join(f"  {str(g.total()):>14}" for g in gauges))
+    rows.append("total".ljust(width) + "".join(f"  {_ratio(sum(nums), unit):>14}"
+                                               for nums, unit in gauges.values()))
     return rows
 
 
@@ -245,8 +259,8 @@ def _cmd_core(args) -> int:
             print("\n".join([header, *lines]))
         return EXIT_OK
 
-    gauge = MEASURES[args.check](net)
-    violation = core_violation(net, gauge, cap=args.cap)
+    numerators, unit = MEASURES[args.check](net)
+    violation = core_violation(net, Imputation._from_numerators(numerators, unit), cap=args.cap)
     if not args.json:
         if violation is None:
             print(f"gauge {args.check}: in core")
@@ -260,7 +274,7 @@ def _cmd_core(args) -> int:
     payload = {
         "network": _network_summary(doc, net),
         "measure": args.check,
-        "gauge": _gauge_json(doc.labels, gauge),
+        "gauge": functools.partial(_gauge_block, doc.labels, numerators, unit),
         "in_core": violation is None,
     }
     if violation is not None:

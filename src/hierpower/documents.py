@@ -99,7 +99,9 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _indented_json(value: object, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` byte for byte, for str-keyed dicts, lists,
     tuples, str, int, float, bool and None; other types raise TypeError.  json
-    indents in pure Python; this joins the strings its C encoders make."""
+    indents in pure Python; this joins the strings its C encoders make.  A
+    callable value is a writer for a known shape: it is called with the indent
+    of the line its value ends on and returns the value's text."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     inner = indent + "  "
@@ -117,6 +119,8 @@ def _indented_json(value: object, indent: str = "\n") -> str:
         return int.__repr__(value)
     elif isinstance(value, float):
         return _NON_FINITE.get(text := float.__repr__(value), text)
+    elif callable(value):
+        return value(indent)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not items:

@@ -38,8 +38,9 @@ def check_gauge(values: Imputation, parts: NodePartition) -> Imputation:
     return values
 
 
-def _gauge(numerators: list[int], unit: int, parts: NodePartition) -> Imputation:
-    """The gauge ``numerators[i] / unit``, once it passes :func:`check_gauge`."""
+def _gauge(numerators: list[int], unit: int, parts: NodePartition) -> tuple[list[int], int]:
+    """``(numerators, unit)`` of the gauge ``numerators[i] / unit`` once it passes
+    :func:`check_gauge`: what each measure's private form returns and the CLI renders."""
     if len(numerators) != parts.n:
         raise GaugeError(f"gauge has {len(numerators)} entries for {parts.n} nodes")
     for i, k in enumerate(numerators):
@@ -50,7 +51,7 @@ def _gauge(numerators: list[int], unit: int, parts: NodePartition) -> Imputation
         raise GaugeError(
             f"weights sum to {Fraction(total, unit)}, expected {parts.dominated_count}"
         )
-    return Imputation._from_numerators(numerators, unit)
+    return numerators, unit
 
 
 def beta_measure(net: HierNet) -> Imputation:
@@ -58,6 +59,10 @@ def beta_measure(net: HierNet) -> Imputation:
 
     Coincides with the Shapley value of both successor representations.
     """
+    return Imputation._from_numerators(*_beta(net))
+
+
+def _beta(net: HierNet) -> tuple[list[int], int]:
     parts = partition(net)
     unit = math.lcm(*filter(None, parts.preds))
     share = [unit // k if k else 0 for k in parts.preds]
@@ -73,6 +78,10 @@ def gately_measure(net: HierNet) -> Imputation:
     proportion to each node's count of contested successors.  Coincides
     with the disruption-balancing value of both successor representations.
     """
+    return Imputation._from_numerators(*_gately(net))
+
+
+def _gately(net: HierNet) -> tuple[list[int], int]:
     parts = partition(net)
     pool = parts.multi_pred_total or 1  # no contested node: no share to hand out
     contested = len(parts.multi_pred)
@@ -83,6 +92,10 @@ def gately_measure(net: HierNet) -> Imputation:
 def restricted_egalitarian(net: HierNet) -> Imputation:
     """Like the proportional split, but the contested pool is shared equally
     among the nodes that control at least one contested node."""
+    return Imputation._from_numerators(*_egalitarian(net))
+
+
+def _egalitarian(net: HierNet) -> tuple[list[int], int]:
     parts = partition(net)
     controllers = sum(1 for multi in parts.succs_multi if multi) or 1
     contested = len(parts.multi_pred)
@@ -96,6 +109,10 @@ def proportional_measure(net: HierNet) -> Imputation:
 
     An edgeless network yields the zero gauge by convention.
     """
+    return Imputation._from_numerators(*_proportional(net))
+
+
+def _proportional(net: HierNet) -> tuple[list[int], int]:
     parts = partition(net)
     total = sum(parts.succs) or 1  # edgeless: every out-degree is 0
     return _gauge([s * parts.dominated_count for s in parts.succs], total, parts)
@@ -103,7 +120,11 @@ def proportional_measure(net: HierNet) -> Imputation:
 
 def degree_measure(net: HierNet) -> Imputation:
     """Raw out-degree vector; in general not a power gauge."""
-    return Imputation._from_numerators(map(len, net._succ), 1)
+    return Imputation._from_numerators(*_degree(net))
+
+
+def _degree(net: HierNet) -> tuple[list[int], int]:
+    return list(map(len, net._succ)), 1  # not checked: in general not a gauge
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,5 +292,4 @@ def _vertex_degrees(net: HierNet, cap: int) -> list[tuple[int, ...]]:
 
 def unique_simple_gauge(net: HierNet) -> Imputation:
     """The out-degree gauge, which for a simple network is the only Core gauge."""
-    parts = partition(net)
-    return _gauge(list(parts.succs), 1, parts)
+    return Imputation._from_numerators(*_gauge(*_degree(net), partition(net)))

@@ -4,8 +4,8 @@ Every worth, gauge entry and share in this package is an exact rational:
 a Python ``int`` or ``fractions.Fraction``.  Floats are refused at every
 boundary so rounding error can never leak into a computation; decimal
 renderings for display are derived at the very end and never read back.
-Inside, a vector of rationals is carried as integer numerators over one
-common denominator; a ``Fraction`` is built once per entry, at the output.
+Inside, a vector of rationals is integer numerators over one common
+denominator; the CLI renders those, and a library call builds the Fractions.
 """
 
 from __future__ import annotations

@@ -1,22 +1,36 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hierpower
 import hierpower.cli
 import hierpower.games
 import hierpower.networks
 import hierpower.verification
-from hierpower.cli import MEASURES, main
+from hierpower import (
+    beta_measure,
+    classify,
+    degree_measure,
+    gately_measure,
+    load_document,
+    partition,
+    proportional_measure,
+    restricted_egalitarian,
+)
+from hierpower.cli import MEASURES, _gauge_block, _measure_rows, main
 from hierpower.documents import NetworkDocument
 from tests.builders import document_from_network, document_to_edge_list, standard_suite
 from tests.conftest import fixture_path
+from tests.test_footprint import load_inputs
 
 F = Fraction
 
@@ -117,7 +131,7 @@ class TestMeasure:
         def refuse(*args):
             raise AssertionError("a JSON payload for a text query")
 
-        for name in ("_gauge_json", "_network_summary", "_indented_json"):
+        for name in ("_gauge_block", "_network_summary", "_indented_json"):
             monkeypatch.setattr(hierpower.cli, name, refuse)
         code, out, err = run(capsys, "measure", FIG1, "--all")
         assert (code, err) == (0, "")
@@ -132,10 +146,94 @@ class TestMeasure:
         assert (code, err) == (0, "")
         assert json.loads(out)["measures"]["beta"]["1"]["exact"] == "1/2"
 
+    @pytest.mark.parametrize("flags", [("--all",), ("--all", "--json")])
+    def test_gauges_build_no_fraction(self, capsys, monkeypatch, flags):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        for path in (FIG1, FIG2, FIG3):
+            code, _, err = run(capsys, "measure", path, *flags)
+            assert (code, err) == (0, "")
+
     def test_requires_a_measure_flag(self, capsys):
         code, _, err = run(capsys, "measure", FIG1)
         assert code == 2
         assert "choose at least one measure" in err
+
+
+# One gauge as (label, numerator) entries; the labels carry what JSON must escape:
+# quotes, backslashes, control and non-ASCII characters.
+LABEL = st.text(alphabet=st.characters() | st.sampled_from('"\\\n\x00\x1f'), max_size=6)
+ENTRIES = st.lists(st.tuples(LABEL, st.integers(0, 10**30)), min_size=1, max_size=8,
+                   unique_by=lambda entry: entry[0])
+UNREDUCED = [("é", 0), ('q"\\', 6), ("\x01", 1)]  # 0/4, 6/4 and 1/4
+
+
+class TestGaugeWriter:
+    """The (numerators, unit) writers against Fractions passed through json.dumps."""
+
+    @settings(max_examples=300)
+    @given(ENTRIES, st.integers(1, 10**20))
+    @example([("A", 0), ("B", 3)], 1)
+    @example(UNREDUCED, 4)
+    def test_block_matches_json_dumps_at_both_indents(self, entries, unit):
+        labels, numerators = map(list, zip(*entries))
+        oracle = {label: {"exact": str(Fraction(k, unit)), "decimal": float(Fraction(k, unit))}
+                  for label, k in entries}
+        expected = json.dumps(oracle, indent=2)
+        for indent in ("\n  ", "\n    "):  # core --check's "gauge", measure --json's "measures"
+            assert _gauge_block(tuple(labels), numerators, unit, indent) == \
+                expected.replace("\n", indent)
+
+    @settings(max_examples=200)
+    @given(ENTRIES, st.integers(1, 10**20))
+    @example([("A", 0), ("B", 3)], 1)
+    @example(UNREDUCED, 4)
+    def test_text_cells_are_fraction_strings(self, entries, unit):
+        labels, numerators = map(list, zip(*entries))
+        values = [Fraction(k, unit) for k in numerators]
+        width = max(5, *map(len, labels))
+        rows = _measure_rows(tuple(labels), {"g": (numerators, unit)})
+        assert rows[1:-1] == [label.ljust(width) + f"  {str(v):>14}"
+                              for label, v in zip(labels, values)]
+        assert rows[-1] == "total".ljust(width) + f"  {str(sum(values)):>14}"
+
+
+class TestWorkloadScale:
+    """``measure --all`` on a 1,500-node network from the benchmark's generator
+    writes what the public Imputation functions and ``json.dumps`` write."""
+
+    def test_text_and_json_match_the_public_measures(self, capsys, tmp_path):
+        inputs = load_inputs()
+        path = tmp_path / "sparse.txt"
+        path.write_text(inputs.to_edge_list(inputs.sparse_network(random.Random(1), 1500)))
+        doc = load_document(path)
+        net = doc.to_network()
+        gauges = {"beta": beta_measure(net), "gately": gately_measure(net),
+                  "egalitarian": restricted_egalitarian(net),
+                  "proportional": proportional_measure(net), "degree": degree_measure(net)}
+
+        width = max(5, *map(len, doc.labels))
+        rows = ["node".ljust(width) + "".join(f"  {name:>14}" for name in gauges)]
+        rows.extend(label.ljust(width) + "".join(f"  {str(g[i]):>14}" for g in gauges.values())
+                    for i, label in enumerate(doc.labels))
+        rows.append("total".ljust(width) + "".join(f"  {str(g.total()):>14}"
+                                                   for g in gauges.values()))
+        assert run(capsys, "measure", str(path), "--all") == (0, "\n".join(rows) + "\n", "")
+
+        parts, flags = partition(net), classify(net)
+        network = {
+            "nodes": list(doc.labels), "node_count": net.n, "edge_count": net.edge_count(),
+            "dominated": parts.dominated_count, "single_pred": len(parts.single_pred),
+            "multi_pred": len(parts.multi_pred),
+            "class": {"simple": flags.simple, "regular": flags.regular,
+                      "weakly_regular": flags.weakly_regular, "principal": flags.principal},
+        }
+        measures = {name: {label: {"exact": str(v), "decimal": float(v)}
+                           for label, v in zip(doc.labels, g)} for name, g in gauges.items()}
+        expected = json.dumps({"network": network, "measures": measures}, indent=2) + "\n"
+        assert run(capsys, "measure", str(path), "--all", "--json") == (0, expected, "")
 
 
 class TestCore:
