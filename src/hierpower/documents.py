@@ -1,10 +1,11 @@
-"""Network documents: label-level descriptions and their two file formats.
+"""Network documents: labelled networks and their two file formats.
 
 Computation uses dense integer node ids; this module owns the boundary
 where external labels are attached.  Two formats are supported: a JSON
 object ``{"nodes": [...], "edges": [["A", "B"], ...]}`` and a plain
 edge-list text format with one ``pred succ`` pair per line, ``node X``
-lines for isolated nodes and ``#`` comments.
+lines for isolated nodes and ``#`` comments.  Both parsers give each label
+an id as they read it and build the network from integer rows.
 """
 
 from __future__ import annotations
@@ -20,43 +21,49 @@ from .networks import HierNet
 
 @dataclass(frozen=True, slots=True)
 class NetworkDocument:
-    """Validated labelled network: unique labels, no self-loops, no duplicate edges."""
+    """A parsed document: ``labels[i]`` names node ``i`` of ``network``."""
 
     labels: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise InputError("document declares no nodes")
-        seen: set[str] = set()
-        for label in self.labels:
-            if label in seen:
-                raise InputError(f"duplicate node label {label!r}")
-            seen.add(label)
-        pairs: set[tuple[str, str]] = set()
-        for pred, succ in self.edges:
-            if pred == succ:
-                raise InputError(f"self-loop on node {pred!r} is not allowed")
-            for label in (pred, succ):
-                if label not in seen:
-                    raise InputError(f"edge mentions undeclared node {label!r}")
-            if (pred, succ) in pairs:
-                raise InputError(f"duplicate edge {pred!r} -> {succ!r}")
-            pairs.add((pred, succ))
+    network: HierNet
 
     def to_network(self) -> HierNet:
-        # Validation already ruled out self-loops, undeclared labels and
-        # duplicate edges: sorted, the rows are what HierNet would build.
-        index = {label: i for i, label in enumerate(self.labels)}
-        succ: list[list[int]] = [[] for _ in index]
-        pred: list[list[int]] = [[] for _ in index]
-        for p, s in self.edges:
-            i, j = index[p], index[s]
-            succ[i].append(j)
-            pred[j].append(i)
-        for row in succ + pred:
-            row.sort()
-        return HierNet._from_rows(len(index), succ, pred)
+        return self.network
+
+
+def _edge_fault(pred: str, succ: str, p: int | None, s: int | None,
+                seen: set[tuple[int, int]]) -> str | None:
+    """The first fault of the edge ``pred -> succ``, whose ids are ``p`` and ``s``
+    (None for an undeclared label), read after the edges in ``seen``: a self-loop,
+    an undeclared label or a repeat.  None when it has none, and it joins ``seen``."""
+    if pred == succ:
+        return f"self-loop on node {pred!r} is not allowed"
+    if p is None or s is None:
+        return f"edge mentions undeclared node {pred if p is None else succ!r}"
+    if (p, s) in seen:
+        return f"duplicate edge {pred!r} -> {succ!r}"
+    seen.add((p, s))
+    return None
+
+
+def _refuse_unencodable(labels: list[str], location) -> None:
+    """Refuse a label holding a lone surrogate, which has no UTF-8 form to print;
+    ``location(i)`` places label ``i``."""
+    try:
+        "".join(labels).encode()
+    except UnicodeEncodeError as exc:
+        i = next(i for i, label in enumerate(labels) if exc.object[exc.start] in label)
+        raise InputError(f"node label {labels[i]!r} cannot be encoded as UTF-8",
+                         location=location(i)) from None
+
+
+def _network(succ: list[list[int]], pred: list[list[int]], edge_count: int) -> HierNet | None:
+    """The network of rows free of self-loops, pred being succ transposed, if they
+    hold ``edge_count`` distinct edges; None if an edge was left out or repeated."""
+    if sum(map(len, map(set, succ))) != edge_count:
+        return None
+    for row in succ + pred:
+        row.sort()
+    return HierNet._from_rows(len(succ), succ, pred)
 
 
 # --- JSON format ----------------------------------------------------------------
@@ -64,41 +71,53 @@ class NetworkDocument:
 def document_from_json(text: str) -> NetworkDocument:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an int past Python's digit limit, or nesting past
+        # the recursion limit
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputError("top-level JSON value must be an object")
     nodes = payload.get("nodes")
     if not isinstance(nodes, list):
         raise InputError("missing or non-list field", location="nodes")
-    labels = []
+    ids: dict[str, int] = {}  # a repeated label keeps its first position
     for i, label in enumerate(nodes):
         if not isinstance(label, str):
             raise InputError("node labels must be strings", location=f"nodes[{i}]")
-        labels.append(label)
+        ids.setdefault(label, i)
     raw_edges = payload.get("edges", [])
     if not isinstance(raw_edges, list):
         raise InputError("must be a list of [pred, succ] pairs", location="edges")
-    edges = []
+    get = ids.get
+    succ: list[list[int]] = [[] for _ in nodes]
+    pred: list[list[int]] = [[] for _ in nodes]
     for i, pair in enumerate(raw_edges):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not (isinstance(pair[0], str) and isinstance(pair[1], str))
-        ):
+        if type(pair) is not list or len(pair) != 2 or not (
+                type(pair[0]) is str and type(pair[1]) is str):  # json makes no subclasses
             raise InputError("each edge must be a [pred, succ] pair of strings",
                              location=f"edges[{i}]")
-        edges.append((pair[0], pair[1]))
-    return NetworkDocument(labels=tuple(labels), edges=tuple(edges))
-
-
-# json's spellings of the floats that float.__repr__ writes as nan, inf and -inf
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        p, s = get(pair[0]), get(pair[1])
+        if p is not None and s is not None and p != s:  # else left out, and reported below
+            succ[p].append(s)
+            pred[s].append(p)
+    if not nodes:
+        raise InputError("document declares no nodes")
+    if len(ids) < len(nodes):
+        label = next(label for i, label in enumerate(nodes) if ids[label] != i)
+        raise InputError(f"duplicate node label {label!r}")
+    network = _network(succ, pred, len(raw_edges))
+    if network is None:  # report the first edge that was left out or repeated
+        seen: set[tuple[int, int]] = set()
+        for a, b in raw_edges:
+            if message := _edge_fault(a, b, get(a), get(b), seen):
+                raise InputError(message)
+    _refuse_unencodable(nodes, "nodes[{}]".format)
+    return NetworkDocument(tuple(nodes), network)
 
 
 def _indented_json(value: object, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` byte for byte, for str-keyed dicts, lists,
-    tuples, str, int, float, bool and None; other types raise TypeError.  json
+    tuples, str, int, bool and None; other types, float among them, raise TypeError.  json
     indents in pure Python; this joins the strings its C encoders make.  A
     callable value is a writer for a known shape: it is called with the indent
     of the line its value ends on and returns the value's text."""
@@ -117,8 +136,6 @@ def _indented_json(value: object, indent: str = "\n") -> str:
         return "null" if value is None else "true" if value else "false"
     elif isinstance(value, int):
         return int.__repr__(value)
-    elif isinstance(value, float):
-        return _NON_FINITE.get(text := float.__repr__(value), text)
     elif callable(value):
         return value(indent)
     else:
@@ -132,44 +149,60 @@ def _indented_json(value: object, indent: str = "\n") -> str:
 
 def document_from_edge_list(text: str) -> NetworkDocument:
     """Parse the line format; node labels are taken in order of first mention."""
-    labels: list[str] = []
-    known: set[str] = set()
-    edges: dict[tuple[str, str], None] = {}  # insertion-ordered set
+    try:
+        return _read_edge_list(text, checked=False)
+    except InputError:
+        pass
+    # Unchecked, a repeated edge is found only at the end.  Checked, each edge is
+    # checked on its line, so the first faulty line is the one reported.
+    return _read_edge_list(text, checked=True)
 
-    def declare(label: str) -> None:
-        if label not in known:
-            known.add(label)
-            labels.append(label)
 
+def _read_edge_list(text: str, checked: bool) -> NetworkDocument:
+    ids: dict[str, int] = {}
+    succ: list[list[int]] = []
+    pred: list[list[int]] = []
+    lines: list[int] = []  # the line that first mentions each label
+    seen: set[tuple[int, int]] = set()
+
+    def label_id(label: str, lineno: int) -> int:
+        if label not in ids:
+            ids[label] = len(lines)
+            lines.append(lineno)
+            succ.append([])
+            pred.append([])
+        return ids[label]
+
+    get = ids.get
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if len(fields) == 2 and fields[0] != "node":
+            a, b = fields
+            p, s = get(a), get(b)
+            if p is None or s is None:
+                p, s = label_id(a, lineno), label_id(b, lineno)
+            if (checked or p == s) and (message := _edge_fault(a, b, p, s, seen)):
+                raise InputError(message, location=f"line {lineno}")
+            succ[p].append(s)
+            pred[s].append(p)
+        elif not fields:
             continue
-        fields = line.split()
-        where = f"line {lineno}"
-        if fields[0] == "node":
-            if len(fields) != 2:
-                raise InputError("expected: node <label>", location=where)
-            if fields[1] in known:
-                raise InputError(f"duplicate node label {fields[1]!r}", location=where)
-            declare(fields[1])
-        elif len(fields) == 2:
-            pred, succ = fields
-            if pred == succ:
-                raise InputError(f"self-loop on node {pred!r} is not allowed", location=where)
-            declare(pred)
-            declare(succ)
-            if (pred, succ) in edges:
-                raise InputError(f"duplicate edge {pred!r} -> {succ!r}", location=where)
-            edges[pred, succ] = None
+        elif fields[0] != "node":
+            raise InputError("expected: <pred> <succ> or node <label>", location=f"line {lineno}")
+        elif len(fields) != 2:
+            raise InputError("expected: node <label>", location=f"line {lineno}")
+        elif fields[1] in ids:
+            raise InputError(f"duplicate node label {fields[1]!r}", location=f"line {lineno}")
         else:
-            raise InputError("expected: <pred> <succ> or node <label>", location=where)
-    if not labels:
+            label_id(fields[1], lineno)
+    if not ids:
         raise InputError("document declares no nodes")
-    doc = object.__new__(NetworkDocument)  # skips __post_init__: its checks were all made above
-    object.__setattr__(doc, "labels", tuple(labels))
-    object.__setattr__(doc, "edges", tuple(edges))
-    return doc
+    network = _network(succ, pred, sum(map(len, succ)))
+    if network is None:  # only unchecked: the checked read places the repeated edge
+        raise InputError("duplicate edge")
+    labels = list(ids)
+    _refuse_unencodable(labels, lambda i: f"line {lines[i]}")
+    return NetworkDocument(tuple(labels), network)
 
 
 def load_document(path: str | Path) -> NetworkDocument:
@@ -179,6 +212,8 @@ def load_document(path: str | Path) -> NetworkDocument:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from exc
     if text.lstrip().startswith("{"):
         return document_from_json(text)
     return document_from_edge_list(text)

@@ -115,7 +115,8 @@ def proportional_measure(net: HierNet) -> Imputation:
 def _proportional(net: HierNet) -> tuple[list[int], int]:
     parts = partition(net)
     total = sum(parts.succs) or 1  # edgeless: every out-degree is 0
-    return _gauge([s * parts.dominated_count for s in parts.succs], total, parts)
+    dominated = parts.dominated_count
+    return _gauge([s * dominated for s in parts.succs], total, parts)
 
 
 def degree_measure(net: HierNet) -> Imputation:

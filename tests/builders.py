@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 from hierpower import (
@@ -7,6 +8,7 @@ from hierpower import (
     NetworkDocument,
     TUGame,
     coalition,
+    document_from_json,
     generate_random,
     members,
 )
@@ -35,20 +37,29 @@ def weak_successors(net: HierNet, h: Coalition) -> Coalition:
     return coalition(j for i in members(h) for j in net.successors(i))
 
 
+def make_document(labels: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> NetworkDocument:
+    """A document from labels and (pred, succ) label pairs, through the JSON parser's checks."""
+    return document_from_json(json.dumps({"nodes": list(labels), "edges": list(map(list, edges))}))
+
+
+def document_edges(doc: NetworkDocument) -> tuple[tuple[str, str], ...]:
+    """The document's edges as (pred, succ) label pairs, in sorted id order."""
+    return tuple((doc.labels[i], doc.labels[j]) for i, j in doc.network.edges())
+
+
 def document_from_network(net: HierNet, labels: tuple[str, ...] | None = None) -> NetworkDocument:
     if labels is None:
         labels = tuple(str(i) for i in range(net.n))
     if len(labels) != net.n:
         raise InputError(f"{len(labels)} labels for {net.n} nodes")
-    edges = tuple((labels[i], labels[j]) for i, j in net.edges())
-    return NetworkDocument(labels=labels, edges=edges)
+    return NetworkDocument(labels, net)
 
 
 def document_to_json(doc: NetworkDocument) -> str:
-    return _indented_json({"nodes": doc.labels, "edges": doc.edges}) + "\n"
+    return _indented_json({"nodes": doc.labels, "edges": document_edges(doc)}) + "\n"
 
 
 def document_to_edge_list(doc: NetworkDocument) -> str:
     lines = [f"node {label}" for label in doc.labels]
-    lines.extend(f"{pred} {succ}" for pred, succ in doc.edges)
+    lines.extend(f"{pred} {succ}" for pred, succ in document_edges(doc))
     return "\n".join(lines) + "\n"

@@ -14,19 +14,19 @@ def fixture_path(name: str) -> Path:
 @pytest.fixture(scope="session")
 def fig1() -> HierNet:
     """Eight nodes; 1,2 jointly control 6; 3,4,5 jointly control 7 and 8."""
-    return load_document(FIXTURES / "fig1.json").to_network()
+    return load_document(FIXTURES / "fig1.json").network
 
 
 @pytest.fixture(scope="session")
 def fig2() -> HierNet:
     """Five nodes; 1 controls 2..5, nodes 4 and 5 are contested."""
-    return load_document(FIXTURES / "fig2.json").to_network()
+    return load_document(FIXTURES / "fig2.json").network
 
 
 @pytest.fixture(scope="session")
 def fig3() -> HierNet:
     """Eight nodes; every contested node has exactly two controllers."""
-    return load_document(FIXTURES / "fig3.json").to_network()
+    return load_document(FIXTURES / "fig3.json").network
 
 
 @pytest.fixture(scope="session")

@@ -27,8 +27,12 @@ from hierpower import (
     restricted_egalitarian,
 )
 from hierpower.cli import MEASURES, _gauge_block, _measure_rows, main
-from hierpower.documents import NetworkDocument
-from tests.builders import document_from_network, document_to_edge_list, standard_suite
+from tests.builders import (
+    document_from_network,
+    document_to_edge_list,
+    make_document,
+    standard_suite,
+)
 from tests.conftest import fixture_path
 from tests.test_footprint import load_inputs
 
@@ -209,7 +213,7 @@ class TestWorkloadScale:
         path = tmp_path / "sparse.txt"
         path.write_text(inputs.to_edge_list(inputs.sparse_network(random.Random(1), 1500)))
         doc = load_document(path)
-        net = doc.to_network()
+        net = doc.network
         gauges = {"beta": beta_measure(net), "gately": gately_measure(net),
                   "egalitarian": restricted_egalitarian(net),
                   "proportional": proportional_measure(net), "degree": degree_measure(net)}
@@ -340,11 +344,11 @@ class TestCore:
         # The hub's out-degree, 302, needs 2-byte tally fields.
         edges = [("H", f"L{k}") for k in range(300)] + [("H", "C1"), ("X", "C1"), ("H", "C2"),
                                                          ("Y", "C2")]
-        doc = NetworkDocument(("H", "X", "Y", *(f"L{k}" for k in range(300)), "C1", "C2"),
-                              tuple(edges))
+        doc = make_document(("H", "X", "Y", *(f"L{k}" for k in range(300)), "C1", "C2"),
+                            tuple(edges))
         path = tmp_path / "hub.txt"
         path.write_text(document_to_edge_list(doc))
-        self.check_vertex_rows(capsys, path, doc.to_network())
+        self.check_vertex_rows(capsys, path, doc.network)
 
     def test_vertex_rows_on_the_seeded_suite(self, capsys, tmp_path):
         path = tmp_path / "net.txt"
@@ -466,6 +470,27 @@ class TestErrors:
         code, _, err = run(capsys, "classify", str(path))
         assert code == 2
         assert "line 2" in err and "self-loop on node 'A'" in err
+
+    @pytest.mark.parametrize("content, reason", [
+        (b'{"nodes": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "error: invalid JSON: "),
+        (b'{"nodes": ["A"], "edges": [], "size": ' + b"7" * 5000 + b"}", "error: invalid JSON: "),
+        (b"\xff\xfe" + "A B\n".encode("utf-16-le"), "not UTF-8 at byte 0\n"),
+        (b'{"nodes": ["A", "\\ud800"], "edges": [["A", "\\ud800"]]}',
+         "error: nodes[1]: node label '\\ud800' cannot be encoded as UTF-8\n"),
+    ], ids=["nested-100000-deep", "5000-digit-number", "utf-16", "lone-surrogate"])
+    @pytest.mark.parametrize("argv", [
+        ["classify", "{doc}"],
+        ["measure", "{doc}", "--all"],
+        ["measure", "{doc}", "--all", "--json"],
+        ["core", "{doc}", "--check", "gately", "--json"],
+        ["verify", "--input", "{doc}"],
+    ], ids=" ".join)
+    def test_unreadable_document_is_an_input_error(self, capsys, tmp_path, content, reason, argv):
+        path = tmp_path / "doc"
+        path.write_bytes(content)
+        code, out, err = run(capsys, *(str(path) if a == "{doc}" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and reason in err and err.count("\n") == 1
 
     def test_internal_value_error_is_not_an_input_error(self, capsys, monkeypatch):
         def broken(net):
