@@ -21,10 +21,15 @@ from .networks import HierNet
 
 @dataclass(frozen=True, slots=True)
 class NetworkDocument:
-    """A parsed document: ``labels[i]`` names node ``i`` of ``network``."""
+    """A parsed document: ``labels[i]`` names node ``i`` of ``network``.  Only the
+    parsers check labels and edges; the constructor checks the label count."""
 
     labels: tuple[str, ...]
     network: HierNet
+
+    def __post_init__(self) -> None:
+        if len(self.labels) != self.network.n:
+            raise InputError(f"{len(self.labels)} labels for {self.network.n} nodes")
 
     def to_network(self) -> HierNet:
         return self.network
@@ -32,9 +37,8 @@ class NetworkDocument:
 
 def _edge_fault(pred: str, succ: str, p: int | None, s: int | None,
                 seen: set[tuple[int, int]]) -> str | None:
-    """The first fault of the edge ``pred -> succ``, whose ids are ``p`` and ``s``
-    (None for an undeclared label), read after the edges in ``seen``: a self-loop,
-    an undeclared label or a repeat.  None when it has none, and it joins ``seen``."""
+    """The first fault of edge ``pred -> succ`` (ids ``p``, ``s``; None if undeclared) after
+    those in ``seen``: a self-loop, an undeclared label or a repeat; if none, it joins ``seen``."""
     if pred == succ:
         return f"self-loop on node {pred!r} is not allowed"
     if p is None or s is None:
@@ -45,25 +49,19 @@ def _edge_fault(pred: str, succ: str, p: int | None, s: int | None,
     return None
 
 
-def _refuse_unencodable(labels: list[str], location) -> None:
-    """Refuse a label holding a lone surrogate, which has no UTF-8 form to print;
-    ``location(i)`` places label ``i``."""
+def _document(labels: list[str], succ: list[list[int]], pred: list[list[int]],
+              location) -> NetworkDocument:
+    """The document of ``labels`` and checked rows, pred being succ transposed; a label
+    with a lone surrogate has no UTF-8 form to print, and ``location(label)`` places it."""
     try:
         "".join(labels).encode()
     except UnicodeEncodeError as exc:
-        i = next(i for i, label in enumerate(labels) if exc.object[exc.start] in label)
-        raise InputError(f"node label {labels[i]!r} cannot be encoded as UTF-8",
-                         location=location(i)) from None
-
-
-def _network(succ: list[list[int]], pred: list[list[int]], edge_count: int) -> HierNet | None:
-    """The network of rows free of self-loops, pred being succ transposed, if they
-    hold ``edge_count`` distinct edges; None if an edge was left out or repeated."""
-    if sum(map(len, map(set, succ))) != edge_count:
-        return None
+        label = next(label for label in labels if exc.object[exc.start] in label)
+        raise InputError(f"node label {label!r} cannot be encoded as UTF-8",
+                         location=location(label)) from None
     for row in succ + pred:
         row.sort()
-    return HierNet._from_rows(len(succ), succ, pred)
+    return NetworkDocument(tuple(labels), HierNet._from_rows(len(labels), succ, pred))
 
 
 # --- JSON format ----------------------------------------------------------------
@@ -72,8 +70,7 @@ def document_from_json(text: str) -> NetworkDocument:
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        # a JSONDecodeError, an int past Python's digit limit, or nesting past
-        # the recursion limit
+        # a JSONDecodeError, an int past Python's digit limit, or nesting too deep
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputError("top-level JSON value must be an object")
@@ -88,31 +85,28 @@ def document_from_json(text: str) -> NetworkDocument:
     raw_edges = payload.get("edges", [])
     if not isinstance(raw_edges, list):
         raise InputError("must be a list of [pred, succ] pairs", location="edges")
-    get = ids.get
-    succ: list[list[int]] = [[] for _ in nodes]
-    pred: list[list[int]] = [[] for _ in nodes]
     for i, pair in enumerate(raw_edges):
         if type(pair) is not list or len(pair) != 2 or not (
                 type(pair[0]) is str and type(pair[1]) is str):  # json makes no subclasses
             raise InputError("each edge must be a [pred, succ] pair of strings",
                              location=f"edges[{i}]")
-        p, s = get(pair[0]), get(pair[1])
-        if p is not None and s is not None and p != s:  # else left out, and reported below
-            succ[p].append(s)
-            pred[s].append(p)
     if not nodes:
         raise InputError("document declares no nodes")
     if len(ids) < len(nodes):
         label = next(label for i, label in enumerate(nodes) if ids[label] != i)
         raise InputError(f"duplicate node label {label!r}")
-    network = _network(succ, pred, len(raw_edges))
-    if network is None:  # report the first edge that was left out or repeated
+    get = ids.get
+    succ, pred = [[] for _ in nodes], [[] for _ in nodes]
+    for a, b in raw_edges:
+        p, s = get(a), get(b)
+        if p is not None and s is not None and p != s:  # else left out, and named below
+            succ[p].append(s)
+            pred[s].append(p)
+    if sum(map(len, map(set, succ))) < len(raw_edges):  # an edge left out or repeated
         seen: set[tuple[int, int]] = set()
-        for a, b in raw_edges:
-            if message := _edge_fault(a, b, get(a), get(b), seen):
-                raise InputError(message)
-    _refuse_unencodable(nodes, "nodes[{}]".format)
-    return NetworkDocument(tuple(nodes), network)
+        raise InputError(next(message for a, b in raw_edges
+                              if (message := _edge_fault(a, b, get(a), get(b), seen))))
+    return _document(nodes, succ, pred, lambda label: f"nodes[{ids[label]}]")
 
 
 def _indented_json(value: object, indent: str = "\n") -> str:
@@ -149,60 +143,58 @@ def _indented_json(value: object, indent: str = "\n") -> str:
 
 def document_from_edge_list(text: str) -> NetworkDocument:
     """Parse the line format; node labels are taken in order of first mention."""
-    try:
-        return _read_edge_list(text, checked=False)
-    except InputError:
-        pass
-    # Unchecked, a repeated edge is found only at the end.  Checked, each edge is
-    # checked on its line, so the first faulty line is the one reported.
-    return _read_edge_list(text, checked=True)
+    return _read_edge_list(text, None)
 
 
-def _read_edge_list(text: str, checked: bool) -> NetworkDocument:
+def _read_edge_list(text: str, seen: set[tuple[int, int]] | None) -> NetworkDocument:
+    """With ``seen`` None an edge is checked for a self-loop only; if one repeats before
+    the first fault, the text is read again checking every edge against ``seen``."""
     ids: dict[str, int] = {}
     succ: list[list[int]] = []
     pred: list[list[int]] = []
-    lines: list[int] = []  # the line that first mentions each label
-    seen: set[tuple[int, int]] = set()
 
-    def label_id(label: str, lineno: int) -> int:
+    def label_id(label: str) -> int:
         if label not in ids:
-            ids[label] = len(lines)
-            lines.append(lineno)
+            ids[label] = len(succ)
             succ.append([])
             pred.append([])
         return ids[label]
 
     get = ids.get
+    fault = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if len(fields) == 2 and fields[0] != "node":
             a, b = fields
             p, s = get(a), get(b)
             if p is None or s is None:
-                p, s = label_id(a, lineno), label_id(b, lineno)
-            if (checked or p == s) and (message := _edge_fault(a, b, p, s, seen)):
-                raise InputError(message, location=f"line {lineno}")
+                p, s = label_id(a), label_id(b)
+            if (seen is not None or p == s) and (fault := _edge_fault(a, b, p, s, seen)):
+                break
             succ[p].append(s)
             pred[s].append(p)
         elif not fields:
             continue
         elif fields[0] != "node":
-            raise InputError("expected: <pred> <succ> or node <label>", location=f"line {lineno}")
+            fault = "expected: <pred> <succ> or node <label>"
+            break
         elif len(fields) != 2:
-            raise InputError("expected: node <label>", location=f"line {lineno}")
+            fault = "expected: node <label>"
+            break
         elif fields[1] in ids:
-            raise InputError(f"duplicate node label {fields[1]!r}", location=f"line {lineno}")
+            fault = f"duplicate node label {fields[1]!r}"
+            break
         else:
-            label_id(fields[1], lineno)
+            label_id(fields[1])
+    if seen is None and sum(map(len, map(set, succ))) < sum(map(len, succ)):
+        return _read_edge_list(text, set())
+    if fault:
+        raise InputError(fault, location=f"line {lineno}")
     if not ids:
         raise InputError("document declares no nodes")
-    network = _network(succ, pred, sum(map(len, succ)))
-    if network is None:  # only unchecked: the checked read places the repeated edge
-        raise InputError("duplicate edge")
-    labels = list(ids)
-    _refuse_unencodable(labels, lambda i: f"line {lines[i]}")
-    return NetworkDocument(tuple(labels), network)
+    return _document(list(ids), succ, pred, lambda label: next(  # its first line
+        f"line {lineno}" for lineno, raw in enumerate(text.splitlines(), start=1)
+        if label in raw.split("#", 1)[0].split()))
 
 
 def load_document(path: str | Path) -> NetworkDocument:

@@ -4,7 +4,6 @@ from fractions import Fraction
 from hierpower import (
     Coalition,
     HierNet,
-    InputError,
     NetworkDocument,
     TUGame,
     coalition,
@@ -50,8 +49,6 @@ def document_edges(doc: NetworkDocument) -> tuple[tuple[str, str], ...]:
 def document_from_network(net: HierNet, labels: tuple[str, ...] | None = None) -> NetworkDocument:
     if labels is None:
         labels = tuple(str(i) for i in range(net.n))
-    if len(labels) != net.n:
-        raise InputError(f"{len(labels)} labels for {net.n} nodes")
     return NetworkDocument(labels, net)
 
 

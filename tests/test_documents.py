@@ -8,6 +8,7 @@ import hierpower.documents
 from hierpower import (
     HierNet,
     InputError,
+    NetworkDocument,
     document_from_edge_list,
     document_from_json,
     load_document,
@@ -50,6 +51,12 @@ class TestNetworkDocument:
         net = doc.to_network()
         assert net.predecessors(1) == (0, 2)
         assert document_from_network(net, doc.labels) == doc
+
+    def test_label_count_must_match_the_network(self):
+        net = make_document(("A", "B"), (("A", "B"),)).network
+        for labels in (("A",), ("A", "B", "C")):
+            with pytest.raises(InputError, match=f"{len(labels)} labels for 2 nodes"):
+                NetworkDocument(labels, net)
 
     def test_mutual_edges_allowed(self):
         doc = make_document(("A", "B"), (("A", "B"), ("B", "A")))
@@ -128,22 +135,34 @@ class TestEdgeListFormat:
         assert str(refused.value) == "line 3: node label '\\ud800' cannot be encoded as UTF-8"
 
     def test_checks_each_document_once(self, monkeypatch):
-        # A document with no fault is read once, and its network is built from
-        # the parser's rows, not by HierNet's validating constructor.
-        reads = []
-        read = hierpower.documents._read_edge_list
+        # A document with no fault is read once, no edge goes through the
+        # fault check, and the network is built from the parser's rows, not by
+        # HierNet's validating constructor.
+        reads, checked = [], []
+        read, edge_fault = hierpower.documents._read_edge_list, hierpower.documents._edge_fault
 
         def refuse(*args):
             raise AssertionError("a second validation pass")
 
         monkeypatch.setattr(hierpower.documents, "_read_edge_list",
-                            lambda text, checked: reads.append(checked) or read(text, checked))
+                            lambda *args: reads.append(args) or read(*args))
+        monkeypatch.setattr(hierpower.documents, "_edge_fault",
+                            lambda *args: checked.append(args) or edge_fault(*args))
         monkeypatch.setattr(HierNet, "__init__", refuse)
         doc = document_from_edge_list("node lonely\nA B\nB A\n")
-        assert reads == [False]
+        assert len(reads) == 1 and checked == []
         assert doc.labels == ("lonely", "A", "B")
         assert document_edges(doc) == (("A", "B"), ("B", "A"))
         assert doc.to_network() is doc.network
+
+    def test_a_repeat_before_a_fault_is_reported_first(self):
+        # The unchecked read stops at line 4; the repeat on line 3 is named.
+        with pytest.raises(InputError) as refused:
+            document_from_edge_list("A B\nB C\nA B\nC C\n")
+        assert str(refused.value) == "line 3: duplicate edge 'A' -> 'B'"
+        with pytest.raises(InputError) as refused:
+            document_from_edge_list("A B\nB C\nnode A\nA B\n")
+        assert str(refused.value) == "line 3: duplicate node label 'A'"
 
 
 class TestLoadDocument:
