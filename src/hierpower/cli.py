@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .coalitions import members
-from .documents import NetworkDocument, _indented_json, load_document
+from .documents import NetworkDocument, load_document
 from .errors import CapExceededError, HierPowerError, InputError
 from .games import DEFAULT_PLAYER_CAP, Imputation, _check_player_cap
 from .generators import generate_random
@@ -174,6 +174,36 @@ def _ratio(k: int, unit: int) -> str:
     """``str(Fraction(k, unit))`` for ``unit`` > 0, with no Fraction built."""
     g = math.gcd(k, unit)
     return f"{k // g}/{unit // g}" if unit != g else str(k // g)
+
+
+def _indented_json(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, for str-keyed dicts, lists,
+    tuples, str, int, bool and None; other types, float among them, raise TypeError.  json
+    indents in pure Python; this joins the strings its C encoders make.  A
+    callable value is a writer for a known shape: it is called with the indent
+    of the line its value ends on and returns the value's text."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        ends = "{}"
+        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
+                 for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        ends = "[]"  # str items, such as the label lists, skip the recursive call
+        items = [encode_basestring_ascii(v) if type(v) is str else _indented_json(v, inner)
+                 for v in value]
+    elif value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    elif callable(value):
+        return value(indent)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
 def _gauge_block(labels: tuple[str, ...], numerators: list[int], unit: int, indent: str) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import InputError
@@ -109,36 +108,6 @@ def document_from_json(text: str) -> NetworkDocument:
     return _document(nodes, succ, pred, lambda label: f"nodes[{ids[label]}]")
 
 
-def _indented_json(value: object, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` byte for byte, for str-keyed dicts, lists,
-    tuples, str, int, bool and None; other types, float among them, raise TypeError.  json
-    indents in pure Python; this joins the strings its C encoders make.  A
-    callable value is a writer for a known shape: it is called with the indent
-    of the line its value ends on and returns the value's text."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        ends = "{}"
-        items = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
-                 for k, v in value.items()]
-    elif isinstance(value, (list, tuple)):
-        ends = "[]"  # str items, such as Core vertex entries, skip the recursive call
-        items = [encode_basestring_ascii(v) if type(v) is str else _indented_json(v, inner)
-                 for v in value]
-    elif value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    elif isinstance(value, int):
-        return int.__repr__(value)
-    elif callable(value):
-        return value(indent)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
-
-
 # --- edge-list format -----------------------------------------------------------
 
 def document_from_edge_list(text: str) -> NetworkDocument:
@@ -201,7 +170,8 @@ def load_document(path: str | Path) -> NetworkDocument:
     """Read a document from disk, sniffing JSON (leading ``{``) vs edge list."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # drop a byte-order mark here, not by "utf-8-sig", so error offsets count it
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -12,6 +12,7 @@ the 2**n table they build, packed into one int.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 import operator
@@ -109,34 +110,29 @@ class Imputation(tuple):
 # puts t(S + i) in the field of every S without player i.  Whole-table sums
 # act field by field while every field's result stays in 0 .. 2**(8k) - 1.
 
-def _pack(values: Iterable[int], k: int) -> int:
-    """Nonnegative ``values`` below 2**(8k) as k-byte fields, 4,096 at a time, one
-    slice per byte plane up to the first plane that holds every value left."""
-    rest, packed = iter(values), bytearray()
-    while chunk := list(itertools.islice(rest, 4096)):
-        fields = bytearray(k * len(chunk))
-        for b in range(k):
-            try:  # a table of counts takes one ``bytes`` call at any k
-                fields[b::k] = bytes(chunk)
-                break
-            except ValueError:  # some value is 256 or more: its low byte, then the rest
-                fields[b::k] = bytes(map(operator.and_, chunk, itertools.repeat(255)))
-                chunk = list(map(operator.rshift, chunk, itertools.repeat(8)))
-        packed += fields
-    return int.from_bytes(packed, "little")
+def _pack(values: list[int], k: int) -> int:
+    """Nonnegative ``values`` below 2**(8k) as k-byte fields: one slice assignment
+    when every value is below 256, else one ``to_bytes`` per field."""
+    try:  # a table of counts, both successor games among them, at any k
+        low = bytes(values)
+    except ValueError:  # some value is 256 or more; a join holds an 80-byte view per field
+        out = io.BytesIO()
+        out.writelines(map(int.to_bytes, values, itertools.repeat(k), itertools.repeat("little")))
+        return int.from_bytes(out.getbuffer(), "little")
+    fields = bytearray(k * len(values))
+    fields[::k] = low
+    return int.from_bytes(fields, "little")
 
 
 def _unpack(table: int, k: int, count: int, off: int) -> Iterator[int]:
     """The ``count`` k-byte fields of ``table``, each less ``off``, a multiple of
-    256**(k-1), in blocks of 4,096: the top byte plane less off / 256**(k-1),
-    then for each lower plane b, 256 times the value so far plus byte b."""
+    256**(k-1): the top byte plane less off / 256**(k-1), then for each lower
+    plane b, 256 times the value so far plus byte b."""
     raw, eight = table.to_bytes(k * count, "little"), itertools.repeat(8)
-    for start in range(0, len(raw), k << 12):
-        chunk = raw[start:start + (k << 12)]
-        values = map(operator.sub, chunk[k - 1::k], itertools.repeat(off >> 8 * k - 8))
-        for b in reversed(range(k - 1)):
-            values = list(map(operator.add, map(operator.lshift, values, eight), chunk[b::k]))
-        yield from values
+    values = map(operator.sub, raw[k - 1::k], itertools.repeat(off >> 8 * k - 8))
+    for b in reversed(range(k - 1)):
+        values = map(operator.add, map(operator.lshift, values, eight), raw[b::k])
+    return values
 
 
 def _stripes(n: int, i: int, without: bytes, held: bytes) -> int:
@@ -207,7 +203,7 @@ def _second_differences_keep_sign(v: TUGame, sign: int) -> bool:
     worths, _ = _common_denominator(v.worths)
     low = min(worths)
     k = ((max(worths) - low).bit_length() + 9) // 8  # ceil((bits(E) + 2) / 8)
-    table = _pack(map(operator.sub, worths, itertools.repeat(low)), k)
+    table = _pack([w - low for w in worths], k)
     top = (1 << 8 * k - 1).to_bytes(k, "little")
     bias = int.from_bytes(top * (1 << n), "little")
     lacking = [_stripes(n, i, top, bytes(k)) for i in range(n)]
@@ -239,7 +235,7 @@ def harsanyi_dividends(v: TUGame) -> tuple[Exact, ...]:
     off = 1 << 8 * k - 1
     top, zero = off.to_bytes(k, "little"), bytes(k)
     table = int.from_bytes((off + low).to_bytes(k, "little") * (1 << n), "little")
-    table += _pack(map(operator.sub, worths, itertools.repeat(low)), k)
+    table += _pack([w - low for w in worths], k)
     for i in range(n):
         clear = _stripes(n, i, b"\xff" * k, zero)
         table += _stripes(n, i, zero, top) - ((table & clear) << (8 * k << i))

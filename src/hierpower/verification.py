@@ -133,17 +133,19 @@ class TheoremReport:
 def verify_theorems(net: HierNet, games: tuple[TUGame, TUGame]) -> TheoremReport:
     """Evaluate every theorem clause on one network.
 
-    ``games`` are the network's successor and strong successor games,
-    ``(successor_game(net), strong_successor_game(net))``.  A pair over
-    another player count is refused; any other pair not built from
-    ``net`` fails the duality or the unanimity-decomposition clause,
-    which between them pin both games to ``net``.  The strong game's
+    ``games`` are ``(successor_game(net), strong_successor_game(net))``.  A
+    pair over another player count or grand worth than ``net``'s nodes and
+    dominated nodes is refused with ``ValueError``; any other pair of
+    successor games that differs from ``net``'s fails the duality or the
+    unanimity clause, which pin both games to ``net``.  The strong game's
     dividends, inverted from its table, serve that clause and its Shapley value.
     """
     weak, strong = games
-    if weak.n != net.n or strong.n != net.n:
-        raise ValueError(f"games over {weak.n} and {strong.n} players for {net.n} nodes")
     parts = partition(net)
+    worths, dominated = (weak.grand_worth(), strong.grand_worth()), parts.dominated_count
+    if (weak.n, strong.n, *worths) != (net.n, net.n, dominated, dominated):
+        raise ValueError(f"games over {weak.n} and {strong.n} players for {net.n} nodes, "
+                         f"worth {worths[0]} and {worths[1]} for {dominated} dominated nodes")
     flags = classify(net)
     beta = beta_measure(net)
     xi = gately_measure(net)

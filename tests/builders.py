@@ -12,7 +12,7 @@ from hierpower import (
     members,
 )
 from hierpower.coalitions import check_coalition
-from hierpower.documents import _indented_json
+from hierpower.cli import _indented_json
 
 
 def unanimity_game(n: int, carrier: int) -> TUGame:

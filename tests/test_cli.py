@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -34,6 +36,7 @@ from tests.builders import (
     standard_suite,
 )
 from tests.conftest import fixture_path
+from tests.test_documents import mutated_fixtures
 from tests.test_footprint import load_inputs
 
 F = Fraction
@@ -47,6 +50,12 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_parsed(*argv: str) -> int:
+    """Run a subcommand with no exit-code mapping, so a refusal raises."""
+    args = hierpower.cli.build_parser().parse_args(list(argv))
+    return args.run(args)
 
 
 class TestClassify:
@@ -504,6 +513,20 @@ class TestErrors:
         assert "in broken" in err
         assert err.endswith("internal error: ValueError: internal fault\n")
 
+    @pytest.mark.parametrize("refused, error, message", [
+        (lambda: run_parsed("verify", "--random", "0"), hierpower.InputError,
+         "--random needs a positive count"),
+        (lambda: hierpower.HierNet(3, {0: [1], 5: [0]}), ValueError,
+         r"successor map mentions unknown nodes \[5\]"),
+        (lambda: hierpower.HierNet(3, [[1], []]), ValueError, "expected 3 successor rows, got 2"),
+        (lambda: hierpower.find_core_violation(
+            hierpower.strong_successor_game(hierpower.HierNet(2, {0: [1]})),
+            hierpower.Imputation([1])), ValueError, "allocation has 1 entries for 2 players"),
+    ], ids=["verify-random-0", "unknown-node", "row-count", "short-allocation"])
+    def test_refusals_name_their_fault(self, refused, error, message):
+        with pytest.raises(error, match=message):
+            refused()
+
     def test_closed_pipe_is_not_an_internal_error(self, capsys, monkeypatch):
         class ClosedPipe:  # no fileno: nothing to point at the null device
             def write(self, text):
@@ -590,3 +613,74 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# --- fuzzing the whole command line ---------------------------------------------
+
+FIXTURE_BYTES = [fixture_path(f"fig{k}.{form}").read_bytes()
+                 for k in (1, 2, 3) for form in ("json", "txt")]
+# Byte strings put into a document: a NUL, a byte-order mark, a lone surrogate
+# as raw UTF-8 and as a JSON escape, a 5,000-digit number, deep nesting, CRLF.
+PIECES = [b"\0", b"\xef\xbb\xbf", b"\xed\xa0\x80", b'"\\ud800"', b"7" * 5000,
+          b"[" * 5000 + b"]" * 5000, b'["A", "\\udfff"],', b"\r\n", b"node \0\n"]
+
+
+@st.composite
+def document_bytes(draw) -> bytes:
+    """A fixture, a text-mutated fixture or random bytes, then up to three
+    byte-level faults: cut short, a flipped byte, a piece put in, CRLF lines
+    or a byte-order mark."""
+    data = draw(st.one_of(
+        st.sampled_from(FIXTURE_BYTES),
+        mutated_fixtures().map(lambda text: text.encode("utf-8", "surrogatepass")),
+        st.binary(max_size=64),
+    ))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["cut", "flip", "piece", "crlf", "bom"]))
+        if kind == "cut":
+            data = data[:at]
+        elif kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        elif kind == "piece":
+            data = data[:at] + draw(st.sampled_from(PIECES)) + data[at:]
+        elif kind == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        elif kind == "bom":
+            data = b"\xef\xbb\xbf" + data
+    return data
+
+
+def run_strict(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` with stdout and stderr strict UTF-8 text over bytes."""
+    out, err = io.BytesIO(), io.BytesIO()
+    stdout, stderr = (io.TextIOWrapper(buffer, encoding="utf-8", errors="strict")
+                      for buffer in (out, err))
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    for stream in (stdout, stderr):
+        stream.flush()
+        stream.detach()  # so that collecting the wrapper leaves its buffer open
+    return code, out.getvalue().decode(), err.getvalue().decode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("fuzz") / "doc")
+
+
+class TestFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(document_bytes(), st.sampled_from(sorted(MEASURES)))
+    def test_every_subcommand_exits_cleanly(self, fuzz_path, data, measure):
+        Path(fuzz_path).write_bytes(data)
+        for argv in (["classify", fuzz_path], ["measure", fuzz_path, "--all"],
+                     ["core", fuzz_path, "--check", measure, "--cap", "8"],
+                     ["core", fuzz_path, "--vertices", "--subnetwork-cap", "64"],
+                     ["verify", "--input", fuzz_path, "--cap", "8"]):
+            for flags in ([], ["--json"]):
+                code, out, err = run_strict(argv + flags)
+                assert code in (0, 1, 2, 3), (argv + flags, err)
+                assert "Traceback" not in err
+                if code == 0 and flags:
+                    json.loads(out)

@@ -13,7 +13,7 @@ from hierpower import (
     document_from_json,
     load_document,
 )
-from hierpower.documents import _indented_json
+from hierpower.cli import _indented_json
 from tests.builders import (
     document_edges,
     document_from_network,
@@ -180,6 +180,18 @@ class TestLoadDocument:
         path = tmp_path / "net"  # no extension
         path.write_text('  {"nodes": ["A", "B"], "edges": [["A", "B"]]}')
         assert document_edges(load_document(path)) == (("A", "B"),)
+
+    @pytest.mark.parametrize("name", ["fig1.json", "fig1.txt"])
+    def test_byte_order_mark_leaves_the_document_unchanged(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + fixture_path(name).read_bytes())
+        assert load_document(path) == load_document(fixture_path(name))
+
+    def test_undecodable_byte_located_in_the_file_past_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(b"\xef\xbb\xbfA B\n\xff\n")
+        with pytest.raises(InputError, match="not UTF-8 at byte 7$"):
+            load_document(path)
 
 
 # --- fuzzing ----------------------------------------------------------------------

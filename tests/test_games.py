@@ -208,7 +208,7 @@ class TestSuccessorGames:
 
 def boundary_fields(k: int, length: int) -> list[int]:
     """0, 255, 256 and 2**(8k) - 1 in turn (those that fit k bytes), except
-    in every second block of 4,096 fields, which holds only 0 and 255."""
+    in every second run of 4,096 fields, which holds only 0 and 255."""
     wide = [v for v in (0, 255, 256, (1 << 8 * k) - 1) if v < 1 << 8 * k]
     return [(0, 255)[i % 2] if i >> 12 & 1 else wide[i % len(wide)] for i in range(length)]
 
@@ -230,8 +230,8 @@ class TestPackedFields:
     @pytest.mark.parametrize("length", [1 << 12, (1 << 12) + 1, (1 << 13) + 1, 1 << 14])
     @pytest.mark.parametrize("k", range(1, 10))
     def test_round_trip_across_blocks(self, k, length):
-        # Blocks of wide values (k byte planes) alternate with blocks that the
-        # first plane holds whole, so each block takes its own exit.
+        # Runs of wide values alternate with runs of one-byte values: at k = 1
+        # every value fits one byte (the slice path), past it 256 does not.
         values = boundary_fields(k, length)
         table = games_module._pack(values, k)
         assert table == int.from_bytes(b"".join(v.to_bytes(k, "little") for v in values), "little")
@@ -331,8 +331,8 @@ class TestShape:
     @pytest.mark.parametrize("scale", [1, 2 ** 40 + 1])
     @pytest.mark.parametrize("n", [12, 13, 14])
     def test_tables_past_one_pack_chunk(self, n, scale):
-        # 4,096 to 16,384 coalitions, packed 4,096 at a time: the only nonzero
-        # second differences sit at the top of the table, in the last chunk.
+        # 4,096 to 16,384 coalitions, packed in one pass: the only nonzero
+        # second differences sit at the top of the table, in its last fields.
         v = TUGame(n, [scale * w for w in unanimity_game(n, (1 << n) - 1).worths])
         assert (is_convex(v), is_concave(v)) == (True, False)
         negated = TUGame(n, [-w for w in v.worths])
@@ -480,7 +480,7 @@ class TestDividends:
     @pytest.mark.parametrize("n", [12, 13, 14])
     def test_dividends_past_one_pack_chunk(self, n):
         # Unanimity games on carriers across the table plus an additive part,
-        # over 4,096 to 16,384 coalitions packed 4,096 at a time.
+        # over 4,096 to 16,384 coalitions packed in one pass.
         full = (1 << n) - 1
         weights = {full: 7, full ^ 1: -3, 0b1011 << n - 4: 2 ** 33, 0b110: -1}
         singles = [(-1) ** i * i for i in range(n)]

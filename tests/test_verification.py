@@ -64,6 +64,12 @@ class TestCheckAxioms:
         assert not report.normalisation
         assert report.normality and report.restricted_proportionality
 
+    @pytest.mark.parametrize("scale", [-1, 0])
+    def test_a_non_positive_multiple_of_the_out_degrees_is_not_proportional(self, fig1, scale):
+        assert classify(fig1).principal
+        report = check_axioms(lambda net: [scale * x for x in gately_measure(net)], [fig1])
+        assert not report.restricted_proportionality
+
 
 AXIOM_NETS = [generate_random(5, F(1, 2), seed=s) for s in range(12)]
 FIRST_FAILURES = {"normalisation": 7, "normality": 5, "restricted_proportionality": 7}
@@ -181,6 +187,26 @@ class TestVerifyTheorems:
         assert "unanimity-decomposition" in failed
         failed = {c.name for c in verify_theorems(net, (other_weak, strong)).failures()}
         assert "duality" in failed
+
+    @pytest.mark.parametrize("foreign", ["both", "weak", "strong"])
+    def test_games_with_another_grand_worth_refused(self, foreign):
+        net = HierNet(3, {0: [1, 2]})
+        weak, strong = both_games(net)
+        other_weak, other_strong = both_games(HierNet(3, {0: [1]}))
+        games = (other_weak if foreign != "strong" else weak,
+                 other_strong if foreign != "weak" else strong)
+        with pytest.raises(ValueError, match="for 2 dominated nodes"):
+            verify_theorems(net, games)
+
+    def test_unequal_propensities_of_contested_controllers_fail(self):
+        # Nodes 0 and 1 both control node 2; lifting v({0}) from 1 to 2 keeps the
+        # grand worth but moves node 0's propensity from 2 to 4/3.
+        net = HierNet(3, {0: [2], 1: [2]})
+        weak, strong = both_games(net)
+        assert clause_status(verify_theorems(net, (weak, strong)), "propensity-balance") == PASS
+        lifted = TUGame(3, [w + (h == 1) for h, w in enumerate(weak.worths)])
+        report = verify_theorems(net, (lifted, strong))
+        assert clause_status(report, "propensity-balance") == FAIL
 
     def test_cap_refused_where_the_tables_are_built(self, monkeypatch):
         # Only the table builders check the cap: no consumer of a table is reached.
