@@ -70,11 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON result document")
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument(
-        "--cap", type=cap, default=DEFAULT_PLAYER_CAP,
-        help="largest node count for coalition enumeration (default %(default)s)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", parents=[common], help="network class and node partition")
@@ -88,20 +83,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", action="store_true", help=f"include the {name} measure")
     p.add_argument("--all", action="store_true", help="include every measure")
 
-    p = sub.add_parser("core", parents=[capped], help="Core membership and generating gauges")
+    p = sub.add_parser("core", parents=[common], help="Core membership and generating gauges")
     p.set_defaults(run=_cmd_core)
     p.add_argument("input", help="network file (JSON or edge list)")
+    p.add_argument(  # each cap is left unset unless given, so that a stray one is refused
+        "--cap", type=cap, default=argparse.SUPPRESS,
+        help=f"with --check: largest node count (default {DEFAULT_PLAYER_CAP})",
+    )
     p.add_argument(
-        "--subnetwork-cap", type=cap, default=DEFAULT_SUBNETWORK_CAP,
-        help="largest simple-subnetwork count to enumerate (default %(default)s)",
+        "--subnetwork-cap", type=cap, default=argparse.SUPPRESS,
+        help=f"with --vertices: largest simple-subnetwork count (default {DEFAULT_SUBNETWORK_CAP})",
     )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--check", choices=sorted(MEASURES), help="test one measure's gauge")
     group.add_argument("--vertices", action="store_true", help="list the out-degree gauges "
                        "of the simple subnetworks, whose convex hull is the Core")
 
-    p = sub.add_parser("verify", parents=[capped], help="verify theorem clauses")
+    p = sub.add_parser("verify", parents=[common], help="verify theorem clauses")
     p.set_defaults(run=_cmd_verify)
+    p.add_argument(
+        "--cap", type=cap, default=DEFAULT_PLAYER_CAP,
+        help="largest node count for coalition enumeration (default %(default)s)",
+    )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="verify on one network file")
     group.add_argument("--random", type=int, metavar="COUNT", help="verify on random networks")
@@ -273,9 +276,12 @@ def _measure_rows(labels: tuple[str, ...], gauges: dict[str, tuple[list[int], in
 
 
 def _cmd_core(args) -> int:
+    form, unread = ("--vertices", "cap") if args.vertices else ("--check", "subnetwork_cap")
+    if unread in args:
+        raise InputError(f"--{unread.replace('_', '-')} does not apply to core {form}")
     doc, net = _load(args)
     if args.vertices:
-        rows = _vertex_degrees(net, args.subnetwork_cap)
+        rows = _vertex_degrees(net, getattr(args, "subnetwork_cap", DEFAULT_SUBNETWORK_CAP))
         digits = [str(d) for d in range(net.n)]  # an out-degree is below n
         if args.json:
             sep, cell = ",\n      ", [f'"{d}"' for d in digits].__getitem__
@@ -290,7 +296,8 @@ def _cmd_core(args) -> int:
         return EXIT_OK
 
     numerators, unit = MEASURES[args.check](net)
-    violation = core_violation(net, Imputation._from_numerators(numerators, unit), cap=args.cap)
+    gauge = Imputation._from_numerators(numerators, unit)
+    violation = core_violation(net, gauge, cap=getattr(args, "cap", DEFAULT_PLAYER_CAP))
     if not args.json:
         if violation is None:
             print(f"gauge {args.check}: in core")

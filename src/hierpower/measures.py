@@ -22,19 +22,18 @@ from .networks import (
     NodePartition,
     _check_subnetwork_cap,
     partition,
-    strong_successors,
 )
-from .rationals import _common_denominator
+from .rationals import _common_denominator, as_exact
 
 
 def check_gauge(values: Imputation, parts: NodePartition) -> Imputation:
     """Return ``values`` unless they break a power-gauge invariant.
 
     A gauge has one nonnegative weight per node, summing to the number of
-    dominated nodes; anything else raises :class:`GaugeError`.  Any
-    sequence of exact numbers is accepted.
+    dominated nodes; anything else raises :class:`GaugeError`.  Each entry
+    is read by :func:`as_exact`, so a float or a bool raises ``TypeError``.
     """
-    _gauge(*_common_denominator(values), parts)
+    _gauge(*_common_denominator(list(map(as_exact, values))), parts)
     return values
 
 
@@ -130,7 +129,11 @@ def _degree(net: HierNet) -> tuple[list[int], int]:
 
 @dataclass(frozen=True, slots=True)
 class CoreViolation:
-    """A coalition paid less than the number of nodes it fully controls."""
+    """A coalition paid less than the number of nodes it fully controls.
+
+    :func:`core_violation` reports the coalition paid furthest short, the
+    smallest one when several are.
+    """
 
     mask: Coalition
     assigned: Fraction
@@ -144,77 +147,44 @@ class CoreViolation:
 def core_violation(
     net: HierNet, delta: Imputation, cap: int = DEFAULT_PLAYER_CAP
 ) -> CoreViolation | None:
-    """Smallest-mask coalition witnessing that ``delta`` is not a Core gauge, if any.
+    """The coalition ``delta`` pays furthest short, if ``delta`` is not a Core gauge.
 
-    The gauge is validated first; the Core requirement is checked against
-    full control, i.e. the strong successor representation: coalition S
-    needs at least the number of nodes whose predecessors all lie in S.
-    Decided by integer min-cuts on the network, never by a 2^n table: one
-    cut says whether any coalition falls short, and its source side is one
-    that does.  Then, highest id first, each node is kept out of the
-    witness whenever some deficient coalition still exists without it: at
-    once if the coalition in hand lacks it, else by one more cut, whose
-    source side is the next coalition in hand.  So the witness is the one
-    an ascending scan of the strong successor table finds first.
+    The gauge is validated first, each entry read by :func:`as_exact`; the
+    Core requirement is checked against full control, i.e. the strong
+    successor representation: coalition S needs at least v(S), the number
+    of nodes whose predecessors all lie in S.  The largest shortfall
+    max_S (v(S) - delta(S)) is a maximum-weight closure (Picard 1976),
+    found by one integer min-cut, never by a 2^n table: each dominated
+    node is worth ``unit`` once all its predecessors are in S, and each
+    predecessor costs its weight times ``unit``.  The best closure is the
+    total worth minus a minimum cut of source -> dominated node (``unit``),
+    dominated node -> predecessor (unbounded) and predecessor -> sink (its
+    cost).  The predecessors the residual network still reaches from the
+    source are the witness: of the coalitions with the largest shortfall,
+    the one that lies inside all the others, whatever the node numbering.
     Networks with more than ``cap`` nodes are still refused up front.
     """
-    cost, unit = _common_denominator(delta)
-    _gauge(cost, unit, partition(net))
+    cost, unit = _common_denominator(list(map(as_exact, delta)))
+    parts = partition(net)
+    _gauge(cost, unit, parts)
     _check_player_cap(net.n, cap)
-    controls = [coalition(pred) for pred in net._pred if pred]
-    if (found := _best_surplus(controls, cost, unit, 0, 0)) is None:
-        return None
-    inside = outside = 0
-    for i in reversed(range(net.n)):
-        if found >> i & 1:  # the coalition in hand needs i: cut again without it
-            without = _best_surplus(controls, cost, unit, inside, outside | 1 << i)
-            if without is None:
-                inside |= 1 << i
-                continue
-            found = without
-        outside |= 1 << i
-    assigned = Fraction(sum(cost[i] for i in members(inside)), unit)
-    required = Fraction(strong_successors(net, inside).bit_count())
-    return CoreViolation(mask=inside, assigned=assigned, required=required)
-
-
-def _best_surplus(
-    controls: list[Coalition], cost: list[int], unit: int, inside: Coalition, outside: Coalition
-) -> Coalition | None:
-    """A coalition S containing ``inside`` and avoiding ``outside`` with the largest
-    ``unit * (required(S) - delta(S))``, if positive; ``cost[i]`` is ``delta[i] * unit``.
-
-    A maximum-weight closure (Picard 1976): each dominated node, given by
-    its predecessor mask in ``controls``, is worth ``unit`` once all its
-    predecessors are in S, and each predecessor costs its weight.  The
-    best closure is the total worth minus a minimum cut of source ->
-    dominated node (``unit``), dominated node -> predecessor (unbounded)
-    and predecessor -> sink (its cost), and S is ``inside`` plus the
-    predecessors on the cut's source side.  Nodes in ``inside`` are paid
-    for up front and cut free of charge.
-    """
-    reachable = [pred & ~inside for pred in controls if not pred & outside]
-    worth = unit * len(reachable)
-    paid = sum(cost[i] for i in members(inside))
-    source, sink = 0, 1
-    arcs: list[dict[int, int]] = [{}, {}]
-    vertex: dict[int, int] = {}
-    for pred in reachable:
+    worth = unit * parts.dominated_count
+    n, source, sink = net.n, net.n, net.n + 1  # node i is vertex i; dominated nodes follow
+    arcs = [{sink: c} for c in cost] + [{}, dict.fromkeys(range(n), 0)]
+    for pred in filter(None, net._pred):
         j = len(arcs)
-        arcs.append({source: 0})
+        arcs.append({**dict.fromkeys(pred, worth), source: 0})  # no cut exceeds the worth
         arcs[source][j] = unit
-        for i in members(pred):
-            if i not in vertex:
-                vertex[i] = len(arcs)
-                arcs.append({sink: cost[i]})
-                arcs[sink][vertex[i]] = 0
-            arcs[j][vertex[i]] = worth  # no cut exceeds the total worth
-            arcs[vertex[i]][j] = 0
+        for i in pred:
+            arcs[i][j] = 0
     flow, side = _max_flow(arcs, source, sink)
-    # Below the worth, the flow saturates no unbounded arc: the side is a closure.
-    if flow >= worth - paid:
+    if flow == worth:
         return None
-    return inside | coalition(i for i, v in vertex.items() if v in side)
+    # Below the worth, the flow saturates no unbounded arc: the side is a closure,
+    # and by its maximality its dominated nodes are all that its predecessors control.
+    mask = coalition(v for v in side if v < n)
+    assigned = Fraction(sum(cost[i] for i in members(mask)), unit)
+    return CoreViolation(mask, assigned, required=Fraction(sum(v > sink for v in side)))
 
 
 def _max_flow(arcs: list[dict[int, int]], source: int, sink: int) -> tuple[int, dict[int, int]]:

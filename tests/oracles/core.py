@@ -5,7 +5,9 @@ lowest member plus that member's entry, added as Fractions, and the
 first coalition in ascending mask order paid less than its worth is the
 witness.  This is the test oracle for ``hierpower.games.coalition_payoffs``
 and ``find_core_violation``, which add integer numerators over one
-common denominator instead.
+common denominator instead.  The same sums, read for the largest
+shortfall instead of the first, are the oracle for the min-cut witness of
+``hierpower.measures.core_violation``.
 """
 
 from __future__ import annotations
@@ -31,3 +33,17 @@ def first_deficient_coalition(v: TUGame, x) -> int | None:
         if sums[h] < worth:
             return h
     return None
+
+
+def least_max_shortfall_coalition(v: TUGame, x) -> int | None:
+    """Intersection of the coalitions that ``x`` leaves furthest short of
+    their worth in ``v``, or None when none is paid less than its worth."""
+    shortfalls = [worth - paid for worth, paid in zip(v.worths, subset_payoffs(x))]
+    largest = max(shortfalls)
+    if largest <= 0:
+        return None
+    mask = len(shortfalls) - 1
+    for h, shortfall in enumerate(shortfalls):
+        if shortfall == largest:
+            mask &= h
+    return mask

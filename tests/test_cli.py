@@ -604,6 +604,15 @@ class TestErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("core", FIG1, "--vertices", "--cap", "1"), "--cap"),
+        (("core", FIG1, "--check", "gately", "--subnetwork-cap", "0"), "--subnetwork-cap"),
+    ])
+    def test_core_refuses_the_cap_its_form_does_not_read(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} does not apply to core {argv[2]}\n"
+
     def test_zero_cap_is_a_cap(self, capsys):
         code, _, err = run(capsys, "verify", "--random", "1", "--nodes", "3", "--cap", "0")
         assert code == 3

@@ -1,4 +1,6 @@
 import itertools
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,7 @@ from hierpower import (
     unique_simple_gauge,
 )
 from tests.builders import standard_suite
+from tests.oracles.core import least_max_shortfall_coalition, subset_payoffs
 from tests.oracles.hull import in_convex_hull
 
 F = Fraction
@@ -252,40 +255,64 @@ class TestCoreGauge:
         with pytest.raises(GaugeError):
             core_violation(fig1, degree_measure(fig1))
 
+    @pytest.mark.parametrize("entries, outcome", [
+        ((1.0, 0.0), TypeError("refusing inexact float 1.0")),
+        ((True, 0), TypeError("booleans are not numbers here")),
+        (("1", "0"), None),
+        (("1/2", "1/2"), CoreViolation(mask=0b1, assigned=F(1, 2), required=F(1))),
+    ])
+    def test_gauge_entries_read_as_exact(self, chain2, entries, outcome):
+        if isinstance(outcome, TypeError):
+            for call in (lambda: check_gauge(entries, partition(chain2)),
+                         lambda: core_violation(chain2, entries)):
+                with pytest.raises(TypeError, match=str(outcome)):
+                    call()
+        else:
+            assert check_gauge(entries, partition(chain2)) is entries
+            assert core_violation(chain2, entries) == outcome
+
+
+def seeded_core_suite() -> list[HierNet]:
+    """400 seeded networks, n = 2..10 at four edge probabilities: both Core
+    verdicts well represented for every gauge in CORE_GAUGES."""
+    probs = (F(1, 8), F(1, 4), F(1, 2), F(3, 4))
+    return [generate_random(2 + k % 9, probs[(k // 9) % 4], seed=5000 + k) for k in range(400)]
+
 
 class TestCoreViolationFlows:
-    """Nodes outside the deficient coalition in hand are ruled out without a cut."""
+    """Both verdicts, and the witness, come from one cut."""
 
-    @staticmethod
-    def flows(monkeypatch, net, gauge) -> tuple[CoreViolation | None, int]:
+    def test_one_flow_per_call_on_seeded_suite(self, monkeypatch):
         calls = []
         flow = hierpower.measures._max_flow
         monkeypatch.setattr(hierpower.measures, "_max_flow", lambda *a: calls.append(a) or flow(*a))
-        return core_violation(net, gauge), len(calls)
+        verdicts = set()
+        for net in seeded_core_suite():
+            for measure in CORE_GAUGES:
+                before = len(calls)
+                verdicts.add(core_violation(net, measure(net)) is None)
+                assert len(calls) == before + 1, (net, measure.__name__)
+        assert verdicts == {True, False}
 
-    def test_in_core_gauge_costs_one_flow(self, fig1, monkeypatch):
-        assert self.flows(monkeypatch, fig1, beta_measure(fig1)) == (None, 1)
-
-    def test_fig1_gately_witness_in_three_flows(self, fig1, monkeypatch):
-        violation, flows = self.flows(monkeypatch, fig1, gately_measure(fig1))
-        assert violation.mask == coalition([0, 1])
-        assert flows <= 3
-
-    def test_five_node_gately_witness_in_three_flows(self, monkeypatch):
+    def test_five_node_gately_witness(self):
         net = HierNet(5, {0: {2}, 1: {2}, 2: {0}, 3: {0}, 4: {0}})
-        violation, flows = self.flows(monkeypatch, net, gately_measure(net))
+        violation = core_violation(net, gately_measure(net))
         assert violation == CoreViolation(mask=0b11, assigned=F(4, 5), required=F(1))
-        assert flows <= 3
 
 
 def oracle_violation(net: HierNet, gauge) -> CoreViolation | None:
-    """The Core witness found by scanning the 2^n strong successor table."""
+    """The Core witness found by scanning the 2^n strong successor table for
+    the largest shortfall: the intersection of the coalitions that attain it."""
     strong = strong_successor_game(net)
-    mask = find_core_violation(strong, gauge)
+    mask = least_max_shortfall_coalition(strong, gauge)
+    assert (mask is None) == (find_core_violation(strong, gauge) is None)
     if mask is None:
         return None
     assigned = sum((gauge[i] for i in members(mask)), F(0))
-    return CoreViolation(mask=mask, assigned=assigned, required=F(strong.worths[mask]))
+    violation = CoreViolation(mask=mask, assigned=assigned, required=F(strong.worths[mask]))
+    # the maximisers form a lattice, so their intersection attains the largest shortfall too
+    assert violation.shortfall == max(map(operator.sub, strong.worths, subset_payoffs(gauge)))
+    return violation
 
 
 @st.composite
@@ -317,10 +344,8 @@ def nets_with_near_core_gauges(draw) -> tuple[HierNet, tuple[Fraction, ...], boo
 
 class TestCoreViolationOracle:
     def test_matches_table_scan_on_seeded_suite(self):
-        probs = (F(1, 8), F(1, 4), F(1, 2), F(3, 4))
         violations = 0
-        for k in range(400):
-            net = generate_random(2 + k % 9, probs[(k // 9) % 4], seed=5000 + k)
+        for net in seeded_core_suite():
             for measure in CORE_GAUGES:
                 gauge = measure(net)
                 expected = oracle_violation(net, gauge)
@@ -336,6 +361,26 @@ class TestCoreViolationOracle:
         assert got == oracle_violation(net, gauge)
         if not moved:
             assert got is None  # a convex mix of Core vertices is in the Core
+
+    def test_witness_does_not_depend_on_node_numbering(self):
+        violations = 0
+        for k, net in enumerate(seeded_core_suite()):
+            order = random.Random(k).sample(range(net.n), net.n)  # node i is renamed order[i]
+            renamed = HierNet(net.n, {order[i]: {order[j] for j in net.successors(i)}
+                                      for i in range(net.n)})
+            for measure in CORE_GAUGES:
+                gauge = measure(net)
+                renamed_gauge = [F(0)] * net.n
+                for i, value in enumerate(gauge):
+                    renamed_gauge[order[i]] = value
+                got, again = core_violation(net, gauge), core_violation(renamed, renamed_gauge)
+                if got is None:
+                    assert again is None
+                    continue
+                violations += 1
+                assert again.mask == coalition(order[i] for i in members(got.mask)), (net, order)
+                assert (again.assigned, again.required) == (got.assigned, got.required)
+        assert violations > 100
 
 
 class TestCoreVertices:
